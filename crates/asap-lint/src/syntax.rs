@@ -299,7 +299,14 @@ pub fn calls_in(tokens: &[Tok], body: (usize, usize)) -> Vec<Call> {
         let Some(name) = tokens[i].ident() else {
             continue;
         };
-        if !tokens.get(i + 1).is_some_and(|t| t.is_punct('(')) {
+        // `name(` or a turbofish call `name::<…>(`.
+        let turbofish = tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))
+            && tokens.get(i + 2).is_some_and(|t| t.is_punct(':'))
+            && tokens.get(i + 3).is_some_and(|t| t.is_punct('<'))
+            && tokens
+                .get(skip_angles(tokens, i + 3, end.min(tokens.len())))
+                .is_some_and(|t| t.is_punct('('));
+        if !turbofish && !tokens.get(i + 1).is_some_and(|t| t.is_punct('(')) {
             continue;
         }
         if NON_CALL_KEYWORDS.contains(&name) {
@@ -458,8 +465,10 @@ mod tests {
 
     #[test]
     fn calls_are_classified() {
-        let s = parse_src("fn f() { g(); x.h(); Type::make(); path::seg::free_in_mod(); }");
-        let lexed = lex("fn f() { g(); x.h(); Type::make(); path::seg::free_in_mod(); }");
+        let src = "fn f() { g(); x.h(); Type::make(); path::seg::free_in_mod(); \
+                   wire::decode::<P>(&b); x.collect::<Vec<_>>(); }";
+        let s = parse_src(src);
+        let lexed = lex(src);
         let calls = calls_in(&lexed.tokens, s.fns[0].body);
         assert_eq!(
             calls,
@@ -468,6 +477,8 @@ mod tests {
                 Call::Method("h".into()),
                 Call::Path("Type".into(), "make".into()),
                 Call::Path("seg".into(), "free_in_mod".into()),
+                Call::Path("wire".into(), "decode".into()),
+                Call::Method("collect".into()),
             ]
         );
     }

@@ -11,17 +11,20 @@ use std::path::Path;
 
 use asap_lint::{lint_workspace, LintConfig};
 
-/// `(crate, functions, edges)` as of this commit.
+/// `(crate, functions, edges)` as of this commit. `(unit)` is the
+/// pseudo-crate for production files outside `crates/`, `src/` and
+/// `xtask/`: today the standalone `perfbench/` package.
 const PINNED: &[(&str, usize, usize)] = &[
-    ("asap-bench", 187, 1583),
+    ("(unit)", 88, 560),
+    ("asap-bench", 187, 1563),
     ("asap-bloom", 63, 76),
-    ("asap-core", 125, 1848),
-    ("asap-lint", 91, 197),
-    ("asap-metrics", 70, 50),
-    ("asap-net", 66, 588),
+    ("asap-core", 125, 1777),
+    ("asap-lint", 91, 198),
+    ("asap-metrics", 70, 52),
+    ("asap-net", 37, 267),
     ("asap-overlay", 39, 47),
-    ("asap-search", 48, 278),
-    ("asap-sim", 280, 1198),
+    ("asap-search", 48, 258),
+    ("asap-sim", 270, 1159),
     ("asap-topology", 44, 67),
     ("asap-trace", 55, 81),
     ("asap-workload", 70, 255),

@@ -4,34 +4,29 @@
 //! Where [`crate::loopback`] replays a pinned workload trace for digest
 //! equivalence, the daemon's "trace" arrives live: text commands on a Unix
 //! domain socket (`join`, `leave`, `advertise`, `search`, `query`, `stats`,
-//! `peers`, `quit`) mutate the same [`NetCtx`] world the loopback uses,
-//! through the same [`Transport`]-generic protocol hooks. Messages still
-//! cross the wire codec; delivery is still latency-scheduled on the virtual
-//! timeline — but virtual time is paced against the OS clock through a
-//! [`VirtualClock`], and protocol sends are staged in per-peer outbound
-//! queues drained after each callback.
-//!
-//! Two deliberate nondeterminism boundaries (and why the daemon makes no
-//! digest claim — see DESIGN.md §7):
-//!
-//! * **Wall-clock pacing.** Command arrival times, and therefore query
-//!   issue and send timestamps, come from [`VirtualClock::now_us`].
-//! * **Outbound drain order.** Same-instant deliveries are sequenced by
-//!   destination peer id at drain time, not by the protocol's send order.
+//! `peers`, `quit`). The daemon drives the very same engine — a
+//! [`Loopback`] built over a workload whose trace is empty, with no horizon
+//! — through [`Simulation::run_until`] at the wall clock's virtual time,
+//! and turns each mutating command into a workload [`TraceEvent`] applied
+//! at that instant ([`Simulation::apply_at`]). Messages cross the wire
+//! codec and are latency-scheduled on the virtual timeline in the usual
+//! `(time, seq)` order; only *when* each command lands comes from the OS
+//! clock, through a [`VirtualClock`]. That wall-clock pacing is the one
+//! deliberate nondeterminism boundary, and why the daemon makes no digest
+//! claim (DESIGN.md §7).
 //!
 //! The control protocol is line-oriented: one command in, one `ok ...` or
 //! `err ...` line out, so `nc -U`/scripts can drive a node population
-//! interactively.
+//! interactively. A line longer than [`MAX_LINE`] bytes is refused with
+//! `err line too long` and the connection is closed.
 
 use crate::clock::VirtualClock;
-use crate::loopback::NetCtx;
-use asap_overlay::{OverlayConfig, OverlayKind, PeerId};
-use asap_sim::event::EngineEvent;
-use asap_sim::{CheckpointProtocol, Transport};
+use crate::loopback::{Loopback, Wire};
+use asap_overlay::{Overlay, OverlayConfig, OverlayKind, PeerId};
+use asap_sim::{CheckpointProtocol, Simulation, Transport};
 use asap_topology::{PhysicalNetwork, TransitStubConfig};
-use asap_trace::Event as TraceEvt;
-use asap_workload::{DocId, QuerySpec, WorkloadConfig};
-use std::io::{BufRead, BufReader, Write};
+use asap_workload::{ContentModel, DocId, QuerySpec, TraceEvent, Workload, WorkloadConfig};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::mpsc;
@@ -55,6 +50,23 @@ pub struct DaemonConfig {
 /// queued event comes due sooner.
 const IDLE_WAIT: Duration = Duration::from_millis(50);
 
+/// Longest control line accepted, newline excluded. Every command is a verb
+/// and at most two numbers, so anything longer is garbage or abuse.
+pub const MAX_LINE: usize = 256;
+
+type Command = (String, mpsc::Sender<String>);
+
+/// Build the daemon's world: topology, overlay, and a content model whose
+/// trace is empty — the operator *is* the trace.
+fn world(peers: usize, seed: u64) -> (PhysicalNetwork, Workload, Overlay) {
+    let phys = PhysicalNetwork::generate(&TransitStubConfig::reduced(seed));
+    // One scripted query satisfies the generator's floor; it is dropped.
+    let mut workload = asap_workload::generate(&WorkloadConfig::reduced(peers, 1, seed));
+    workload.trace.events.clear();
+    let overlay = OverlayConfig::new(OverlayKind::Random, peers, seed).build();
+    (phys, workload, overlay)
+}
+
 /// Run a daemon until a `quit` command (or the listener dies). Owns the
 /// calling thread; the control listener runs on background threads. The
 /// protocol is built from the generated content model (ASAP's ad tables
@@ -62,21 +74,15 @@ const IDLE_WAIT: Duration = Duration::from_millis(50);
 pub fn run_daemon<P, F>(cfg: &DaemonConfig, make_protocol: F) -> std::io::Result<()>
 where
     P: CheckpointProtocol,
-    F: FnOnce(&asap_workload::ContentModel) -> P,
+    F: FnOnce(&ContentModel) -> P,
 {
-    let phys = PhysicalNetwork::generate(&TransitStubConfig::reduced(cfg.seed));
-    // One scripted query satisfies the generator's floor; the trace is
-    // never preloaded — the operator *is* the trace.
-    let workload = asap_workload::generate(&WorkloadConfig::reduced(cfg.peers, 1, cfg.seed));
-    let overlay = OverlayConfig::new(OverlayKind::Random, cfg.peers, cfg.seed).build();
+    let (phys, workload, overlay) = world(cfg.peers, cfg.seed);
     let protocol = make_protocol(&workload.model);
-    let mut ctx =
-        NetCtx::<P>::assemble(&phys, &workload, overlay, OverlayKind::Random, cfg.seed, false);
-    ctx.stage_outbound();
+    let mut daemon = Daemon::new(&phys, &workload, overlay, protocol, cfg.seed);
 
     let _ = std::fs::remove_file(&cfg.socket);
     let listener = UnixListener::bind(&cfg.socket)?;
-    let (cmd_tx, cmd_rx) = mpsc::channel::<(String, mpsc::Sender<String>)>();
+    let (cmd_tx, cmd_rx) = mpsc::channel::<Command>();
     thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(stream) = stream else { break };
@@ -86,26 +92,16 @@ where
     });
 
     let clock = VirtualClock::new(cfg.speed);
-    let mut daemon = Daemon {
-        ctx,
-        protocol,
-        next_query_id: 0,
-    };
-    daemon.protocol.on_init(&mut daemon.ctx);
-    daemon.ctx.drain_outbound();
-
     loop {
-        daemon.dispatch_due(&clock);
-        let wait = match daemon.ctx.queue.peek_time() {
+        daemon.sim.run_until(clock.now_us());
+        let wait = match daemon.sim.next_event_us() {
             Some(t) => clock.wall_until(t).min(IDLE_WAIT),
             None => IDLE_WAIT,
         };
         match cmd_rx.recv_timeout(wait) {
             Ok((line, reply)) => {
-                daemon.ctx.now_us = daemon.ctx.now_us.max(clock.now_us());
-                let (response, quit) = daemon.handle_command(&line);
+                let (response, quit) = daemon.handle_command(&line, clock.now_us());
                 let _ = reply.send(response);
-                daemon.ctx.drain_outbound();
                 if quit {
                     break;
                 }
@@ -118,118 +114,126 @@ where
     Ok(())
 }
 
-/// One control connection: line in, line out, until EOF.
-fn serve_connection(stream: UnixStream, tx: &mpsc::Sender<(String, mpsc::Sender<String>)>) {
-    let Ok(write_half) = stream.try_clone() else {
+/// One control line read by [`read_line_bounded`].
+#[derive(Debug, PartialEq, Eq)]
+enum Line {
+    Text(String),
+    TooLong,
+    Eof,
+}
+
+/// Read one `\n`-terminated line, buffering at most `MAX_LINE + 1` bytes,
+/// so a client that never sends a newline cannot grow the daemon's memory.
+fn read_line_bounded(reader: &mut impl BufRead) -> std::io::Result<Line> {
+    let mut buf = Vec::new();
+    let n = reader
+        .by_ref()
+        .take(MAX_LINE as u64 + 1)
+        .read_until(b'\n', &mut buf)?;
+    if n == 0 {
+        return Ok(Line::Eof);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > MAX_LINE {
+        return Ok(Line::TooLong);
+    }
+    Ok(Line::Text(String::from_utf8_lossy(&buf).into_owned()))
+}
+
+/// One control connection: line in, line out, until EOF or an oversized
+/// line.
+fn serve_connection(stream: UnixStream, tx: &mpsc::Sender<Command>) {
+    let Ok(mut write_half) = stream.try_clone() else {
         return;
     };
-    let mut write_half = write_half;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(stream);
+    loop {
+        let line = match read_line_bounded(&mut reader) {
+            Ok(Line::Text(line)) => line,
+            Ok(Line::TooLong) => {
+                let _ = writeln!(write_half, "err line too long");
+                return;
+            }
+            Ok(Line::Eof) | Err(_) => return,
+        };
         let (reply_tx, reply_rx) = mpsc::channel();
         if tx.send((line, reply_tx)).is_err() {
-            break;
+            return;
         }
-        let Ok(response) = reply_rx.recv() else { break };
+        let Ok(response) = reply_rx.recv() else {
+            return;
+        };
         if writeln!(write_half, "{response}").is_err() {
-            break;
+            return;
         }
     }
 }
 
+/// The engine the control commands drive. Query ids are handed out in
+/// order from 0, so the ledger's length is the next id.
 struct Daemon<'a, P: CheckpointProtocol> {
-    ctx: NetCtx<'a, P>,
-    protocol: P,
-    next_query_id: u32,
+    sim: Simulation<'a, P, Wire<P>>,
 }
 
 impl<'a, P: CheckpointProtocol> Daemon<'a, P> {
-    /// Dispatch every event whose virtual due time has passed, draining
-    /// staged sends after each callback.
-    fn dispatch_due(&mut self, clock: &VirtualClock) {
-        loop {
-            let now_v = clock.now_us();
-            let Some(t) = self.ctx.queue.peek_time() else {
-                return;
-            };
-            if t > now_v {
-                return;
-            }
-            let Some(sched) = self.ctx.queue.pop() else {
-                return;
-            };
-            // Late events (due before a command bumped the clock) keep the
-            // timeline monotonic rather than exact — wall pacing, not
-            // virtual replay.
-            self.ctx.now_us = self.ctx.now_us.max(sched.time_us);
-            match sched.event {
-                EngineEvent::Deliver { to, from, msg, dup } => {
-                    let delivered = self.ctx.alive[to.index()];
-                    self.ctx
-                        .trace(|| TraceEvt::Deliver { to, from, delivered, dup });
-                    if delivered {
-                        match crate::wire::decode_frame_exact::<P>(&msg) {
-                            Ok(frame) => {
-                                self.protocol.on_message(&mut self.ctx, to, from, frame.msg)
-                            }
-                            Err(_) => self.ctx.wire_errors += 1,
-                        }
-                    }
-                }
-                EngineEvent::Timer { node, tag } => {
-                    let fired = self.ctx.alive[node.index()];
-                    self.ctx.trace(|| TraceEvt::TimerFired { node, tag, fired });
-                    if fired {
-                        self.protocol.on_timer(&mut self.ctx, node, tag);
-                    }
-                }
-                // The daemon never preloads a trace; nothing schedules this.
-                EngineEvent::Trace(_) => {}
-            }
-            self.ctx.drain_outbound();
-        }
+    fn new(
+        phys: &'a PhysicalNetwork,
+        workload: &'a Workload,
+        overlay: Overlay,
+        protocol: P,
+        seed: u64,
+    ) -> Self {
+        let sim = Loopback::new(phys, workload, overlay, OverlayKind::Random, protocol, seed)
+            .horizon_grace(u64::MAX)
+            .build();
+        Self { sim }
     }
 
-    /// Execute one control command; returns `(response_line, quit)`.
-    fn handle_command(&mut self, line: &str) -> (String, bool) {
+    /// Execute one control command at virtual time `now_us`; returns
+    /// `(response_line, quit)`. Every event due by `now_us` dispatches
+    /// first. Commands are validated before they reach the engine, so every
+    /// malformed or inapplicable input gets an `err ...` reply.
+    fn handle_command(&mut self, line: &str, now_us: u64) -> (String, bool) {
+        self.sim.run_until(now_us);
         let mut words = line.split_whitespace();
         let verb = words.next().unwrap_or("");
         let args: Vec<&str> = words.collect();
         let response = match verb {
-            "stats" => Ok(format!(
-                "ok now_us={} alive={} sent={} answered={}/{}",
-                self.ctx.now_us,
-                self.ctx.alive_count,
-                self.ctx.messages_sent,
-                self.ctx.ledger.num_succeeded(),
-                self.ctx.ledger.num_queries(),
-            )),
+            "stats" => {
+                let ctx = self.sim.ctx();
+                Ok(format!(
+                    "ok now_us={} alive={} sent={} answered={}/{}",
+                    self.sim.now_us(),
+                    ctx.alive_count(),
+                    ctx.messages_sent(),
+                    ctx.ledger.num_succeeded(),
+                    ctx.ledger.num_queries(),
+                ))
+            }
             "peers" => Ok(self.peers_line()),
-            "join" => self.parse_peer(&args, 0).map(|p| {
-                if self.ctx.apply_join(p) {
-                    self.protocol.on_join(&mut self.ctx, p);
-                    format!("ok join peer={}", p.0)
-                } else {
-                    format!("err peer {} already alive", p.0)
+            "join" => self.parse_peer(&args, 0).and_then(|p| {
+                if self.sim.ctx().alive(p) {
+                    return Err(format!("peer {} already alive", p.0));
                 }
+                self.sim.apply_at(now_us, TraceEvent::Join(p));
+                Ok(format!("ok join peer={}", p.0))
             }),
-            "leave" => self.parse_peer(&args, 0).map(|p| {
-                if self.ctx.apply_leave(p) {
-                    self.protocol.on_leave(&mut self.ctx, p);
-                    format!("ok leave peer={}", p.0)
-                } else {
-                    format!("err peer {} already offline", p.0)
-                }
+            "leave" => self.live_peer(&args).map(|p| {
+                self.sim.apply_at(now_us, TraceEvent::Leave(p));
+                format!("ok leave peer={}", p.0)
             }),
-            "advertise" => self.cmd_advertise(&args),
-            "search" => self.cmd_search(&args),
+            "advertise" => self.cmd_advertise(&args, now_us),
+            "search" => self.cmd_search(&args, now_us),
             "query" => match args.first().and_then(|s| s.parse::<u32>().ok()) {
-                Some(id) => Ok(if self.ctx.ledger.is_answered(id) {
-                    format!("ok answered id={id}")
-                } else {
-                    format!("ok pending id={id}")
-                }),
+                Some(id) if (id as usize) < self.sim.ctx().ledger.raw_len() => {
+                    Ok(if self.sim.ctx().is_answered(id) {
+                        format!("ok answered id={id}")
+                    } else {
+                        format!("ok pending id={id}")
+                    })
+                }
+                Some(id) => Err(format!("unknown query {id}")),
                 None => Err("usage: query <id>".to_string()),
             },
             "quit" => return ("ok bye".to_string(), true),
@@ -243,10 +247,11 @@ impl<'a, P: CheckpointProtocol> Daemon<'a, P> {
     }
 
     fn peers_line(&self) -> String {
+        let ctx = self.sim.ctx();
         let mut alive = String::new();
         let mut offline = String::new();
-        for i in 0..self.ctx.alive.len() {
-            let slot = if self.ctx.alive[i] {
+        for i in 0..ctx.num_peers() {
+            let slot = if ctx.alive(PeerId(i as u32)) {
                 &mut alive
             } else {
                 &mut offline
@@ -260,80 +265,294 @@ impl<'a, P: CheckpointProtocol> Daemon<'a, P> {
     }
 
     fn parse_peer(&self, args: &[&str], idx: usize) -> Result<PeerId, String> {
-        let raw = args
-            .get(idx)
-            .ok_or_else(|| "missing peer id".to_string())?;
+        let raw = args.get(idx).ok_or_else(|| "missing peer id".to_string())?;
         let id: u32 = raw.parse().map_err(|_| format!("bad peer id {raw}"))?;
-        if (id as usize) < self.ctx.alive.len() {
+        if (id as usize) < self.sim.ctx().num_peers() {
             Ok(PeerId(id))
         } else {
             Err(format!("peer {id} out of range"))
         }
     }
 
+    /// The first argument as a peer that is currently alive.
+    fn live_peer(&self, args: &[&str]) -> Result<PeerId, String> {
+        let p = self.parse_peer(args, 0)?;
+        if self.sim.ctx().alive(p) {
+            Ok(p)
+        } else {
+            Err(format!("peer {} is offline", p.0))
+        }
+    }
+
     /// `advertise <peer> [<doc>]` — share a document (default: the first
     /// one the peer does not hold yet) and run the protocol's
     /// content-change hook, exactly like a trace `AddDocument`.
-    fn cmd_advertise(&mut self, args: &[&str]) -> Result<String, String> {
-        let peer = self.parse_peer(args, 0)?;
-        if !self.ctx.alive[peer.index()] {
-            return Err(format!("peer {} is offline", peer.0));
-        }
+    fn cmd_advertise(&mut self, args: &[&str], now_us: u64) -> Result<String, String> {
+        let peer = self.live_peer(args)?;
+        let ctx = self.sim.ctx();
         let doc = match args.get(1) {
             Some(raw) => self.parse_doc(raw)?,
-            None => (0..self.ctx.model.num_docs() as u32)
+            None => (0..ctx.model.num_docs() as u32)
                 .map(DocId)
-                .find(|&d| !self.ctx.content.peer_has_doc(peer, d))
+                .find(|&d| !ctx.content.peer_has_doc(peer, d))
                 .ok_or_else(|| "peer already holds every document".to_string())?,
         };
-        if self.ctx.apply_content(peer, doc, true) {
-            self.protocol.on_content_change(&mut self.ctx, peer, doc, true);
-            Ok(format!("ok advertise peer={} doc={}", peer.0, doc.0))
-        } else {
-            Err(format!("peer {} already holds doc {}", peer.0, doc.0))
+        if ctx.content.peer_has_doc(peer, doc) {
+            return Err(format!("peer {} already holds doc {}", peer.0, doc.0));
         }
+        self.sim
+            .apply_at(now_us, TraceEvent::AddDocument { peer, doc });
+        Ok(format!("ok advertise peer={} doc={}", peer.0, doc.0))
     }
 
     /// `search <peer> [<doc>]` — issue a query for a target document
     /// (default: the lowest-id document some *other* live peer holds),
     /// with the document's own keywords as the conjunctive terms.
-    fn cmd_search(&mut self, args: &[&str]) -> Result<String, String> {
-        let requester = self.parse_peer(args, 0)?;
-        if !self.ctx.alive[requester.index()] {
-            return Err(format!("peer {} is offline", requester.0));
-        }
+    fn cmd_search(&mut self, args: &[&str], now_us: u64) -> Result<String, String> {
+        let requester = self.live_peer(args)?;
+        let ctx = self.sim.ctx();
         let target = match args.get(1) {
             Some(raw) => self.parse_doc(raw)?,
-            None => (0..self.ctx.model.num_docs() as u32)
+            None => (0..ctx.model.num_docs() as u32)
                 .map(DocId)
                 .find(|&d| {
-                    self.ctx
-                        .content
+                    ctx.content
                         .holders(d)
                         .iter()
-                        .any(|&h| h != requester && self.ctx.alive[h.index()])
+                        .any(|&h| h != requester && ctx.alive(h))
                 })
                 .ok_or_else(|| "no live remote holder of any document".to_string())?,
         };
-        let id = self.next_query_id;
-        self.next_query_id += 1;
+        let id = u32::try_from(ctx.ledger.raw_len()).map_err(|_| "query ids exhausted")?;
         let spec = QuerySpec {
             id,
             requester,
-            terms: self.ctx.model.doc(target).keywords.clone(),
+            terms: ctx.model.doc(target).keywords.clone(),
             target,
         };
-        self.ctx.register_query(&spec);
-        self.protocol.on_query(&mut self.ctx, &spec);
+        self.sim.apply_at(now_us, TraceEvent::Query(spec));
         Ok(format!("ok search id={id} target={}", target.0))
     }
 
     fn parse_doc(&self, raw: &str) -> Result<DocId, String> {
         let id: u32 = raw.parse().map_err(|_| format!("bad doc id {raw}"))?;
-        if (id as usize) < self.ctx.model.num_docs() {
+        if (id as usize) < self.sim.ctx().model.num_docs() {
             Ok(DocId(id))
         } else {
             Err(format!("doc {id} out of range"))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use asap_search::{Flooding, FloodingConfig};
+    use proptest::prelude::*;
+    use std::io::Cursor;
+
+    const PEERS: usize = 12;
+    const SEED: u64 = 3;
+
+    /// Run `f` against a fresh flooding daemon over a 12-peer world.
+    fn with_daemon(f: impl FnOnce(&mut Daemon<'_, Flooding>)) {
+        let (phys, workload, overlay) = world(PEERS, SEED);
+        let protocol = Flooding::new(FloodingConfig::default());
+        f(&mut Daemon::new(&phys, &workload, overlay, protocol, SEED));
+    }
+
+    fn reply(d: &mut Daemon<'_, Flooding>, line: &str, now_us: u64) -> String {
+        let (response, quit) = d.handle_command(line, now_us);
+        assert!(!quit, "{line:?} must not quit");
+        response
+    }
+
+    fn assert_err(d: &mut Daemon<'_, Flooding>, line: &str) {
+        let r = reply(d, line, 0);
+        assert!(r.starts_with("err "), "{line:?} gave {r:?}");
+    }
+
+    /// `(alive, offline)` peer ids from a `peers` reply.
+    fn peers(d: &mut Daemon<'_, Flooding>) -> (Vec<u32>, Vec<u32>) {
+        let line = reply(d, "peers", 0);
+        let list = |key: &str| -> Vec<u32> {
+            line.split_whitespace()
+                .find_map(|w| w.strip_prefix(key))
+                .unwrap_or("")
+                .split(',')
+                .filter_map(|s| s.parse().ok())
+                .collect()
+        };
+        (list("alive="), list("offline="))
+    }
+
+    #[test]
+    fn malformed_commands_get_err_replies() {
+        with_daemon(|d| {
+            for line in [
+                "",
+                "   ",
+                "bogus",
+                "JOIN 1",
+                "join",
+                "join x",
+                "join -1",
+                "join 1.5",
+                "join 4294967296",
+                "join 12",
+                "leave 99999",
+                "advertise 0 4294967296",
+                "advertise 0 99999999",
+                "advertise 0 doc",
+                "search 0 -3",
+                "search 4294967295",
+                "query",
+                "query x",
+                "query 4294967296",
+                "query 0",
+            ] {
+                assert_err(d, line);
+            }
+        });
+    }
+
+    #[test]
+    fn inapplicable_commands_get_err_replies() {
+        with_daemon(|d| {
+            let (alive, _) = peers(d);
+            let (p, q) = (alive[0], alive[1]);
+            assert_err(d, &format!("join {p}"));
+            assert_eq!(
+                reply(d, &format!("leave {q}"), 0),
+                format!("ok leave peer={q}")
+            );
+            for verb in ["leave", "advertise", "search"] {
+                assert_err(d, &format!("{verb} {q}"));
+            }
+            let ad = reply(d, &format!("advertise {p}"), 0);
+            let doc = ad.rsplit('=').next().unwrap_or("");
+            assert_err(d, &format!("advertise {p} {doc}"));
+        });
+    }
+
+    #[test]
+    fn search_resolves_through_the_engine() {
+        with_daemon(|d| {
+            let (alive, offline) = peers(d);
+            let publisher = offline.first().copied().unwrap_or(alive[0]);
+            if offline.contains(&publisher) {
+                assert!(reply(d, &format!("join {publisher}"), 1_000).starts_with("ok join"));
+            }
+            let ad = reply(d, &format!("advertise {publisher}"), 2_000);
+            let doc = ad.rsplit('=').next().unwrap_or("").to_string();
+            let requester = alive
+                .iter()
+                .find(|&&p| p != publisher)
+                .copied()
+                .unwrap_or(0);
+            let search = reply(d, &format!("search {requester} {doc}"), 3_000);
+            assert_eq!(search, format!("ok search id=0 target={doc}"));
+            // Ten virtual seconds later every flood and hit has landed.
+            assert_eq!(reply(d, "query 0", 10_000_000), "ok answered id=0");
+            let stats = reply(d, "stats", 10_000_000);
+            assert!(stats.contains("answered=1/1"), "{stats}");
+        });
+    }
+
+    #[test]
+    fn quit_quits() {
+        with_daemon(|d| assert_eq!(d.handle_command("quit", 0), ("ok bye".to_string(), true)));
+    }
+
+    #[test]
+    fn bounded_reader_refuses_oversized_lines() {
+        let mut ok = Cursor::new(format!("{}\nstats\r\npartial", "a".repeat(MAX_LINE)));
+        assert_eq!(
+            read_line_bounded(&mut ok).unwrap(),
+            Line::Text("a".repeat(MAX_LINE))
+        );
+        assert_eq!(
+            read_line_bounded(&mut ok).unwrap(),
+            Line::Text("stats\r".into())
+        );
+        assert_eq!(
+            read_line_bounded(&mut ok).unwrap(),
+            Line::Text("partial".into())
+        );
+        assert_eq!(read_line_bounded(&mut ok).unwrap(), Line::Eof);
+        let mut long = Cursor::new("b".repeat(MAX_LINE + 1));
+        assert_eq!(read_line_bounded(&mut long).unwrap(), Line::TooLong);
+    }
+
+    #[test]
+    fn oversized_line_gets_err_and_closes_the_connection() {
+        let (client, server) = UnixStream::pair().unwrap();
+        let (tx, rx) = mpsc::channel();
+        let worker = thread::spawn(move || serve_connection(server, &tx));
+        let mut writer = client.try_clone().unwrap();
+        // Never a newline: the daemon must stop reading at the cap.
+        writer.write_all(&[b'x'; 4 * MAX_LINE]).unwrap();
+        let mut reader = BufReader::new(client);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(line, "err line too long\n");
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "connection closed");
+        worker.join().unwrap();
+        assert!(
+            rx.try_recv().is_err(),
+            "nothing reached the command handler"
+        );
+    }
+
+    const VERBS: [&str; 10] = [
+        "join",
+        "leave",
+        "advertise",
+        "search",
+        "query",
+        "stats",
+        "peers",
+        "",
+        "bogus",
+        "Join",
+    ];
+
+    fn arg() -> impl Strategy<Value = String> {
+        prop_oneof![
+            (0u64..16).prop_map(|n| n.to_string()),
+            (0u64..2_000).prop_map(|n| n.to_string()),
+            any::<u64>().prop_map(|n| n.to_string()),
+            (-9i64..0).prop_map(|n| n.to_string()),
+            "[a-z0-9.]{1,6}",
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Any command sequence gets one `ok`/`err` reply per line, never a
+        /// panic or a quit, and the world's liveness views stay consistent.
+        #[test]
+        fn command_handler_never_panics(
+            script in prop::collection::vec(
+                (0usize..VERBS.len(), prop::collection::vec(arg(), 0..4), 0u64..2_000_000),
+                1..24,
+            ),
+        ) {
+            with_daemon(|d| {
+                let mut now_us = 0;
+                for (verb, args, step) in &script {
+                    now_us += step;
+                    let line = format!("{} {}", VERBS[*verb], args.join(" "));
+                    let (r, quit) = d.handle_command(&line, now_us);
+                    prop_assert!(!quit);
+                    prop_assert!(r.starts_with("ok ") || r.starts_with("err "), "{line:?} gave {r:?}");
+                }
+                let (alive, offline) = peers(d);
+                prop_assert_eq!(alive.len() + offline.len(), PEERS);
+                prop_assert_eq!(alive.len(), d.sim.ctx().alive_count());
+            });
         }
     }
 }

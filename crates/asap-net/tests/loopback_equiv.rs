@@ -9,13 +9,15 @@
 //! single delivered message is behaviorally invisible.
 //!
 //! The tiny-scale pinned matrix lives in `asap-bench` (`simnet` bin,
-//! `golden/simnet_tiny.txt`); this tier keeps a fast in-tree witness.
+//! `golden/simnet_tiny.txt`); this tier keeps a fast in-tree witness. The
+//! loopback is the sim engine over a wire carrier, so the engine's fault
+//! and audit layers ride it too; the lossy cell below checks that.
 
-use asap_core::{Asap, AsapConfig};
+use asap_core::{Asap, AsapConfig, RobustnessConfig};
 use asap_net::Loopback;
 use asap_overlay::{OverlayConfig, OverlayKind};
 use asap_search::{Flooding, FloodingConfig, Gsa, GsaConfig, RandomWalk, RandomWalkConfig};
-use asap_sim::{CheckpointProtocol, Simulation};
+use asap_sim::{AuditConfig, CheckpointProtocol, FaultPlan, Simulation};
 use asap_topology::{PhysicalNetwork, TransitStubConfig};
 use asap_trace::{Backend, DigestSink, LifecycleDigest, TraceSink};
 use asap_workload::{Workload, WorkloadConfig};
@@ -126,4 +128,64 @@ fn asap_rw_replays_identically_on_both_backends() {
     let (_, workload) = world();
     let make = || Asap::new(AsapConfig::rw(), &workload.model);
     assert_equivalent("asap-rw", make(), make());
+}
+
+#[test]
+fn lossy_audited_asap_rw_replays_identically_on_both_backends() {
+    let (phys, workload) = world();
+    let plan = FaultPlan {
+        loss_ppm: 100_000,
+        jitter_max_us: 20_000,
+        duplicate_ppm: 20_000,
+        ..FaultPlan::none()
+    };
+    let make = || {
+        let config = AsapConfig::rw().with_robustness(RobustnessConfig::lossy());
+        Asap::new(config, &workload.model)
+    };
+
+    let sim = Simulation::builder(
+        &phys,
+        &workload,
+        overlay(),
+        OverlayKind::Random,
+        make(),
+        SEED,
+    )
+    .faults(plan.clone())
+    .audit(AuditConfig::default())
+    .trace(Box::new(DigestSink::new(Backend::Sim)))
+    .run();
+    let net = Loopback::new(
+        &phys,
+        &workload,
+        overlay(),
+        OverlayKind::Random,
+        make(),
+        SEED,
+    )
+    .faults(plan)
+    .audit(AuditConfig::default())
+    .trace(Box::new(DigestSink::new(Backend::Net)))
+    .run();
+
+    assert_eq!(net.wire_errors, 0, "frames failed to decode");
+    let faults = net.faults.as_ref().expect("net run carries fault stats");
+    assert!(faults.dropped > 0 && faults.duplicated > 0, "{faults:?}");
+    assert_eq!(sim.faults, net.faults, "fault layers drew differently");
+    let (sa, na) = (sim.audit.expect("sim audit"), net.audit.expect("net audit"));
+    assert!(na.is_clean(), "net audit: {:?}", na.violations);
+    assert!(sa.is_clean(), "sim audit: {:?}", sa.violations);
+    assert_eq!(sa.digest, na.digest, "audit event streams diverge");
+    let (ds, dn) = (
+        digest_of(sim.trace.expect("sim sink")),
+        digest_of(net.trace.expect("net sink")),
+    );
+    assert_eq!(ds.count(), dn.count(), "lifecycle event counts diverge");
+    assert_eq!(
+        ds.value(),
+        dn.value(),
+        "faulted sim and net lifecycle digests diverge"
+    );
+    assert_eq!(sim.retry.counts(), net.retry.counts());
 }

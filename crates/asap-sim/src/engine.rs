@@ -2,6 +2,7 @@
 
 use crate::adversary::{AdversaryPlan, AdversaryState, AdversaryStats};
 use crate::audit::{AuditConfig, AuditReport, SimAuditor};
+use crate::carrier::{Carrier, InMemory};
 use crate::event::{EngineEvent, EventHandle, EventQueue, QueueBackend};
 use crate::fault::{FaultDecision, FaultPlan, FaultState, FaultStats};
 use crate::transport::{ScratchGuard, ScratchSlot, Transport};
@@ -12,6 +13,7 @@ use asap_trace::{Event as TraceEvt, TraceSink};
 use asap_workload::{ContentModel, ContentState, DocId, QuerySpec, TraceEvent, Workload};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::marker::PhantomData;
 
 /// A search algorithm under test. The backend owns the world (overlay,
 /// liveness, content, clock); the protocol owns its own per-node state and
@@ -78,11 +80,13 @@ pub trait Protocol {
 }
 
 /// The world as seen by a protocol: clock, overlay, liveness, content,
-/// messaging, timers, metrics.
-pub struct Ctx<'a, M> {
+/// messaging, timers, metrics. Its [`Transport`] impl is the protocol-facing
+/// surface; the carrier `W` decides what the event queue holds in place of
+/// each `M` (see [`crate::carrier`]).
+pub struct Ctx<'a, M, W: Carrier<M> = InMemory> {
     pub(crate) now_us: u64,
-    pub(crate) queue: EventQueue<M>,
-    /// The mutable overlay graph (read via [`Ctx::neighbors`]).
+    pub(crate) queue: EventQueue<W::Queued>,
+    /// The mutable overlay graph (read via [`Transport::neighbors`]).
     pub overlay: Overlay,
     pub(crate) overlay_kind: OverlayKind,
     pub(crate) alive: Vec<bool>,
@@ -90,7 +94,7 @@ pub struct Ctx<'a, M> {
     /// The live peers in ascending id order, maintained incrementally on
     /// join/leave so re-attachment never rebuilds it from the bitmap.
     pub(crate) alive_list: Vec<PeerId>,
-    /// Reusable per-event buffer slot (see [`Ctx::scratch`]). Shared with
+    /// Reusable per-event buffer slot (see [`Transport::scratch`]). Shared with
     /// outstanding [`ScratchGuard`]s so the guard can return capacity on
     /// drop while the protocol keeps using `ctx`.
     pub(crate) scratch: ScratchSlot,
@@ -106,7 +110,7 @@ pub struct Ctx<'a, M> {
     pub load: LoadRecorder,
     /// Query outcome accounting.
     pub ledger: QueryLedger,
-    /// Robustness-event accounting (see [`Ctx::count`]).
+    /// Robustness-event accounting (see [`Transport::count`]).
     pub(crate) retry: RetryCounters,
     pub(crate) messages_sent: u64,
     pub(crate) horizon_us: u64,
@@ -127,6 +131,10 @@ pub struct Ctx<'a, M> {
     /// Event-loop phase counters and queue-depth high-water marks, always on
     /// (plain integer increments).
     pub(crate) profile: EngineProfile,
+    /// Deliveries dropped because their payload failed to unpack (always 0
+    /// with the [`InMemory`] carrier).
+    pub(crate) wire_errors: u64,
+    pub(crate) carrier: PhantomData<(M, W)>,
 }
 
 /// Always-on event-loop profile: phase counters and queue-depth high-water
@@ -139,7 +147,7 @@ pub struct EngineProfile {
     pub delivers: u64,
     /// Timer events dispatched (dead-node drops included).
     pub timers_fired: u64,
-    /// Timers armed via [`Ctx::set_timer`].
+    /// Timers armed via [`Transport::set_timer`].
     pub timers_set: u64,
     /// Workload trace events applied (queries, content changes, churn).
     pub trace_events: u64,
@@ -151,65 +159,44 @@ pub struct EngineProfile {
     pub past_horizon: u64,
 }
 
-impl<'a, M> Ctx<'a, M> {
-    /// Current simulation time, µs.
-    #[inline]
-    pub fn now_us(&self) -> u64 {
-        self.now_us
-    }
-
-    #[inline]
-    pub fn alive(&self, p: PeerId) -> bool {
-        self.alive[p.index()]
-    }
-
-    pub fn alive_count(&self) -> usize {
-        self.alive_count
-    }
-
-    pub fn num_peers(&self) -> usize {
-        self.alive.len()
-    }
-
-    /// Currently-alive peers in ascending id order. Maintained
-    /// incrementally — no per-call allocation or scan.
-    pub fn alive_peers(&self) -> &[PeerId] {
-        debug_assert_eq!(self.alive_list.len(), self.alive_count);
-        &self.alive_list
-    }
-
-    /// Lease the engine's reusable scratch buffer (cleared). Protocols use
-    /// it to stage per-event target lists without allocating; the capacity
-    /// returns to the engine automatically when the guard drops, so early
-    /// returns can't leak it.
-    pub fn scratch(&mut self) -> ScratchGuard {
-        self.scratch.lease()
-    }
-
-    #[inline]
-    pub fn neighbors(&self, p: PeerId) -> &[PeerId] {
-        self.overlay.neighbors(p)
-    }
-
+impl<'a, M, W: Carrier<M>> Ctx<'a, M, W> {
     /// One-way network latency between two peers, µs.
     #[inline]
-    pub fn latency_us(&self, a: PeerId, b: PeerId) -> u64 {
+    fn latency_us(&self, a: PeerId, b: PeerId) -> u64 {
         self.phys
             .latency_us(self.assignment[a.index()], self.assignment[b.index()])
     }
 
-    /// Send a protocol message: bytes are charged to `class` now (the sender
-    /// consumed the bandwidth), delivery is scheduled after the network
-    /// latency, and messages reaching a dead node are dropped there.
+    /// Total messages sent so far (all classes).
+    pub fn messages_sent(&self) -> u64 {
+        self.messages_sent
+    }
+}
+
+/// The engine context is the one [`Transport`] implementation: both
+/// carriers, and so both the sim and `asap-net`'s runtimes, go through it.
+impl<'a, M: Clone, W: Carrier<M>> Transport for Ctx<'a, M, W> {
+    type Msg = M;
+
+    #[inline]
+    fn now_us(&self) -> u64 {
+        self.now_us
+    }
+
+    #[inline]
+    fn rng(&mut self) -> &mut SmallRng {
+        &mut self.rng
+    }
+
+    /// Bytes are charged to `class` now (the sender consumed the
+    /// bandwidth), delivery is scheduled after the network latency, and
+    /// messages reaching a dead node are dropped there.
     ///
     /// With a fault layer attached ([`SimBuilder::faults`]) the message
     /// may additionally be dropped, jittered, or duplicated *after* the
     /// bytes are charged — the sender paid for the transmission either way,
     /// so the byte-reconciliation invariant is untouched by faults.
-    pub fn send(&mut self, from: PeerId, to: PeerId, class: MsgClass, bytes: usize, msg: M)
-    where
-        M: Clone,
-    {
+    fn send(&mut self, from: PeerId, to: PeerId, class: MsgClass, bytes: usize, msg: M) {
         debug_assert_ne!(from, to, "no self-messages");
         self.load.record(self.now_us, class, bytes);
         self.messages_sent += 1;
@@ -246,6 +233,7 @@ impl<'a, M> Ctx<'a, M> {
                 jitter_us,
                 duplicate_jitter_us,
             } => {
+                let msg = W::pack(from, to, class, bytes as u32, msg);
                 let copy = duplicate_jitter_us.map(|dj| {
                     if let Some(a) = self.audit.as_deref_mut() {
                         a.on_fault_duplicate(self.now_us, from, to);
@@ -288,121 +276,23 @@ impl<'a, M> Ctx<'a, M> {
         }
     }
 
-    /// Emit one trace event if a sink is attached. The closure defers event
-    /// construction, so a disabled sink costs one pointer test and nothing
-    /// else; a sink never touches engine state, randomness, or scheduling.
-    #[inline]
-    pub fn trace<F: FnOnce() -> TraceEvt>(&mut self, f: F) {
-        if let Some(sink) = self.trace.as_deref_mut() {
-            sink.record(self.now_us, &f());
-            self.profile.trace_records += 1;
-        }
-    }
-
-    /// Whether a trace sink is attached (lets protocols skip preparing
-    /// expensive event arguments).
-    #[inline]
-    pub fn tracing_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
-    /// Event-loop phase counters accumulated so far.
-    pub fn profile(&self) -> &EngineProfile {
-        &self.profile
-    }
-
-    /// Count one protocol-robustness event (retry, duplicate suppressed,
-    /// confirmation lost, delivery abandoned). The auditor keeps an
-    /// independent mirror and reconciles it exactly at the end of the run —
-    /// the same double-entry discipline as [`Ctx::send`]'s byte accounting.
-    pub fn count(&mut self, stat: RetryStat) {
-        self.retry.record(stat);
-        if let Some(a) = self.audit.as_deref_mut() {
-            a.on_counter(stat);
-        }
-        self.trace(|| TraceEvt::Counter { stat });
-    }
-
-    /// Robustness counters accumulated so far.
-    pub fn retry_counters(&self) -> &RetryCounters {
-        &self.retry
-    }
-
-    /// Fault-layer statistics so far; `None` when no fault plan is attached.
-    pub fn fault_stats(&self) -> Option<&FaultStats> {
-        self.faults.as_deref().map(FaultState::stats)
-    }
-
-    /// Adversary-layer statistics so far; `None` when no adversary plan is
-    /// attached.
-    pub fn adversary_stats(&self) -> Option<&AdversaryStats> {
-        self.adversary.as_deref().map(AdversaryState::stats)
-    }
-
-    /// Schedule `on_timer(node, tag)` after `delay_us` (dropped if the node
-    /// is dead when it fires). The handle can cancel it later.
-    pub fn set_timer(&mut self, node: PeerId, delay_us: u64, tag: u64) -> EventHandle {
+    fn set_timer(&mut self, node: PeerId, delay_us: u64, tag: u64) -> EventHandle {
         self.profile.timers_set += 1;
         self.trace(|| TraceEvt::TimerSet { node, delay_us, tag });
         self.queue
             .push(self.now_us + delay_us, EngineEvent::Timer { node, tag })
     }
 
-    /// Cancel a pending timer set via [`Ctx::set_timer`]; a cancelled timer
-    /// never reaches `on_timer`. See [`EventQueue::cancel`] for the return
-    /// value's semantics.
-    pub fn cancel_timer(&mut self, handle: EventHandle) -> bool {
+    /// See [`EventQueue::cancel`] for the return value's semantics.
+    fn cancel_timer(&mut self, handle: EventHandle) -> bool {
         let cancelled = self.queue.cancel(handle);
         self.trace(|| TraceEvt::TimerCancelled { cancelled });
         cancelled
     }
 
-    /// Record a confirmed result for `query_id` arriving now.
-    pub fn report_answer(&mut self, query_id: u32) {
-        self.ledger.answer(query_id, self.now_us);
-        self.trace(|| TraceEvt::QueryAnswered { id: query_id });
-    }
-
-    /// Total messages sent so far (all classes).
-    pub fn messages_sent(&self) -> u64 {
-        self.messages_sent
-    }
-}
-
-/// The sim engine is the reference [`Transport`]: every method delegates to
-/// the inherent `Ctx` method (or field) protocols used to touch directly,
-/// so the split is behaviorally invisible — the golden digests prove it.
-impl<'a, M: Clone> Transport for Ctx<'a, M> {
-    type Msg = M;
-
-    #[inline]
-    fn now_us(&self) -> u64 {
-        Ctx::now_us(self)
-    }
-
-    #[inline]
-    fn rng(&mut self) -> &mut SmallRng {
-        &mut self.rng
-    }
-
-    #[inline]
-    fn send(&mut self, from: PeerId, to: PeerId, class: MsgClass, bytes: usize, msg: M) {
-        Ctx::send(self, from, to, class, bytes, msg);
-    }
-
-    #[inline]
-    fn set_timer(&mut self, node: PeerId, delay_us: u64, tag: u64) -> EventHandle {
-        Ctx::set_timer(self, node, delay_us, tag)
-    }
-
-    #[inline]
-    fn cancel_timer(&mut self, handle: EventHandle) -> bool {
-        Ctx::cancel_timer(self, handle)
-    }
-
     #[inline]
     fn scratch(&mut self) -> ScratchGuard {
-        Ctx::scratch(self)
+        self.scratch.lease()
     }
 
     #[inline]
@@ -427,22 +317,24 @@ impl<'a, M: Clone> Transport for Ctx<'a, M> {
 
     #[inline]
     fn alive(&self, p: PeerId) -> bool {
-        Ctx::alive(self, p)
+        self.alive[p.index()]
     }
 
     #[inline]
     fn alive_count(&self) -> usize {
-        Ctx::alive_count(self)
+        self.alive_count
     }
 
+    /// Maintained incrementally — no per-call allocation or scan.
     #[inline]
     fn alive_peers(&self) -> &[PeerId] {
-        Ctx::alive_peers(self)
+        debug_assert_eq!(self.alive_list.len(), self.alive_count);
+        &self.alive_list
     }
 
     #[inline]
     fn num_peers(&self) -> usize {
-        Ctx::num_peers(self)
+        self.alive.len()
     }
 
     #[inline]
@@ -450,24 +342,34 @@ impl<'a, M: Clone> Transport for Ctx<'a, M> {
         self.ledger.is_answered(query)
     }
 
-    #[inline]
     fn report_answer(&mut self, query_id: u32) {
-        Ctx::report_answer(self, query_id);
+        self.ledger.answer(query_id, self.now_us);
+        self.trace(|| TraceEvt::QueryAnswered { id: query_id });
     }
 
-    #[inline]
+    /// The auditor keeps an independent mirror of every count and
+    /// reconciles it exactly at the end of the run — the same double-entry
+    /// discipline as `send`'s byte accounting.
     fn count(&mut self, stat: RetryStat) {
-        Ctx::count(self, stat);
+        self.retry.record(stat);
+        if let Some(a) = self.audit.as_deref_mut() {
+            a.on_counter(stat);
+        }
+        self.trace(|| TraceEvt::Counter { stat });
     }
 
+    /// A sink never touches engine state, randomness, or scheduling.
     #[inline]
     fn trace(&mut self, f: impl FnOnce() -> TraceEvt) {
-        Ctx::trace(self, f);
+        if let Some(sink) = self.trace.as_deref_mut() {
+            sink.record(self.now_us, &f());
+            self.profile.trace_records += 1;
+        }
     }
 
     #[inline]
     fn tracing_enabled(&self) -> bool {
-        Ctx::tracing_enabled(self)
+        self.trace.is_some()
     }
 }
 
@@ -483,7 +385,7 @@ pub struct SimReport<P> {
     pub alive: Vec<bool>,
     /// Final overlay graph.
     pub overlay: Overlay,
-    /// Robustness counters accumulated via [`Ctx::count`].
+    /// Robustness counters accumulated via [`Transport::count`].
     pub retry: RetryCounters,
     /// Fault-layer statistics; `Some` iff the run was built with
     /// [`SimBuilder::faults`].
@@ -500,11 +402,18 @@ pub struct SimReport<P> {
     pub trace: Option<Box<dyn TraceSink>>,
     /// Event-loop phase counters and queue high-water marks (always on).
     pub profile: EngineProfile,
+    /// Deliveries dropped at their destination because the payload failed
+    /// to unpack. Always 0 on a healthy build: a nonzero count means a
+    /// carrier's codec regressed.
+    pub wire_errors: u64,
 }
 
-/// A configured simulation, ready to run.
-pub struct Simulation<'a, P: Protocol> {
-    pub(crate) ctx: Ctx<'a, P::Msg>,
+/// A configured simulation, ready to run. `W` picks what the event queue
+/// carries per message: the value itself ([`InMemory`], the default) or
+/// another [`Carrier`]'s encoding — `asap-net`'s loopback is this engine
+/// with a wire-frame carrier.
+pub struct Simulation<'a, P: Protocol, W: Carrier<P::Msg> = InMemory> {
+    pub(crate) ctx: Ctx<'a, P::Msg, W>,
     pub(crate) protocol: P,
     /// Whether `on_init` has run (set before the first dispatched event, and
     /// restored from checkpoints so a resumed run never re-initializes).
@@ -518,11 +427,26 @@ pub struct Simulation<'a, P: Protocol> {
 /// [`Simulation::builder`]. Optional layers (audit, faults, tracing, horizon
 /// override) are attached here; [`SimBuilder::build`] or the
 /// [`SimBuilder::run`] shorthand produce the configured simulation.
-pub struct SimBuilder<'a, P: Protocol> {
-    sim: Simulation<'a, P>,
+pub struct SimBuilder<'a, P: Protocol, W: Carrier<P::Msg> = InMemory> {
+    sim: Simulation<'a, P, W>,
 }
 
-impl<'a, P: Protocol> SimBuilder<'a, P> {
+impl<'a, P: Protocol, W: Carrier<P::Msg>> SimBuilder<'a, P, W> {
+    /// Start configuring a simulation whose event queue carries `W`'s
+    /// payloads; see [`Simulation::builder`] for the assembly rules.
+    pub fn new(
+        phys: &'a PhysicalNetwork,
+        workload: &'a Workload,
+        overlay: Overlay,
+        overlay_kind: OverlayKind,
+        protocol: P,
+        seed: u64,
+    ) -> Self {
+        Self {
+            sim: Simulation::assemble(phys, workload, overlay, overlay_kind, protocol, seed),
+        }
+    }
+
     /// Enable the invariant auditor for this run; the resulting
     /// [`SimReport::audit`] carries violations, check counts, and the
     /// event-stream digest. See [`crate::audit`] for what is checked.
@@ -562,7 +486,8 @@ impl<'a, P: Protocol> SimBuilder<'a, P> {
     /// Override the simulation horizon (default: trace end + 30 s). Events
     /// scheduled past the horizon — periodic protocol timers, stragglers —
     /// are discarded, which is what terminates a run whose protocol re-arms
-    /// timers forever (ASAP's refresh beacons).
+    /// timers forever (ASAP's refresh beacons). The sum saturates, so
+    /// `u64::MAX` means no horizon at all.
     pub fn horizon_grace(mut self, grace_us: u64) -> Self {
         self.sim.set_horizon_grace(grace_us);
         self
@@ -594,7 +519,7 @@ impl<'a, P: Protocol> SimBuilder<'a, P> {
     }
 
     /// Finish configuration.
-    pub fn build(self) -> Simulation<'a, P> {
+    pub fn build(self) -> Simulation<'a, P, W> {
         self.sim
     }
 
@@ -617,11 +542,11 @@ impl<'a, P: Protocol> Simulation<'a, P> {
         protocol: P,
         seed: u64,
     ) -> SimBuilder<'a, P> {
-        SimBuilder {
-            sim: Self::assemble(phys, workload, overlay, overlay_kind, protocol, seed),
-        }
+        SimBuilder::new(phys, workload, overlay, overlay_kind, protocol, seed)
     }
+}
 
+impl<'a, P: Protocol, W: Carrier<P::Msg>> Simulation<'a, P, W> {
     fn assemble(
         phys: &'a PhysicalNetwork,
         workload: &'a Workload,
@@ -701,6 +626,8 @@ impl<'a, P: Protocol> Simulation<'a, P> {
             adversary: None,
             trace: None,
             profile: EngineProfile::default(),
+            wire_errors: 0,
+            carrier: PhantomData,
         };
         Self {
             ctx,
@@ -772,7 +699,8 @@ impl<'a, P: Protocol> Simulation<'a, P> {
     }
 
     fn set_horizon_grace(&mut self, grace_us: u64) {
-        self.ctx.horizon_us = self.ctx.trace_end_us + grace_us;
+        // Saturating: a wrapped sum would halt the run before the trace ends.
+        self.ctx.horizon_us = self.ctx.trace_end_us.saturating_add(grace_us);
     }
 
     /// Run to the horizon (or queue exhaustion) and return the report.
@@ -819,6 +747,28 @@ impl<'a, P: Protocol> Simulation<'a, P> {
     /// get the protocol back through [`SimReport::protocol`].
     pub fn protocol(&self) -> &P {
         &self.protocol
+    }
+
+    /// Borrow the world mid-run; read it through its [`Transport`] impl.
+    pub fn ctx(&self) -> &Ctx<'a, P::Msg, W> {
+        &self.ctx
+    }
+
+    /// Virtual time of the next queued event, if any.
+    pub fn next_event_us(&mut self) -> Option<u64> {
+        self.ctx.queue.peek_time()
+    }
+
+    /// Apply one workload event at virtual time `t_us` (clamped to the
+    /// current time): everything due by then dispatches first, in the usual
+    /// `(time, seq)` order, then the event itself. This is how a live front
+    /// end (the `asapd` daemon) feeds events that are not in the preloaded
+    /// trace; the caller must uphold what the trace generator guarantees
+    /// (joins only offline peers, leaves and queries only live ones).
+    pub fn apply_at(&mut self, t_us: u64, ev: TraceEvent) {
+        let t_us = t_us.max(self.ctx.now_us);
+        self.ctx.queue.push(t_us, EngineEvent::Trace(ev));
+        self.run_until(t_us);
     }
 
     fn ensure_init(&mut self) {
@@ -870,7 +820,10 @@ impl<'a, P: Protocol> Simulation<'a, P> {
                     dup,
                 });
                 if delivered {
-                    self.protocol.on_message(&mut self.ctx, to, from, msg);
+                    match W::unpack(msg) {
+                        Some(msg) => self.protocol.on_message(&mut self.ctx, to, from, msg),
+                        None => self.ctx.wire_errors += 1,
+                    }
                 }
             }
             EngineEvent::Timer { node, tag } => {
@@ -927,6 +880,7 @@ impl<'a, P: Protocol> Simulation<'a, P> {
             audit,
             trace: self.ctx.trace,
             profile: self.ctx.profile,
+            wire_errors: self.ctx.wire_errors,
         }
     }
 
@@ -1399,6 +1353,40 @@ mod tests {
         assert!(p.trace_events > 0, "workload events counted");
         assert!(p.queue_hwm > 0);
         assert_eq!(p.trace_records, 0, "tracing was off");
+    }
+
+    #[test]
+    fn unbounded_horizon_grace_replays_the_whole_trace() {
+        let run = |grace: Option<u64>| {
+            let (phys, workload, overlay) = small_world(3);
+            let trace_queries = workload.trace.num_queries();
+            let trace_end_us = workload.trace.duration_us();
+            let mut b = Simulation::builder(
+                &phys,
+                &workload,
+                overlay,
+                OverlayKind::Random,
+                OracleProtocol,
+                3,
+            );
+            if let Some(g) = grace {
+                b = b.horizon_grace(g);
+            }
+            let report = b.run();
+            assert_eq!(
+                report.ledger.num_queries(),
+                trace_queries,
+                "grace {grace:?}"
+            );
+            assert!(report.end_time_us >= trace_end_us, "grace {grace:?}");
+            report
+        };
+        let default = run(None);
+        let unbounded = run(Some(u64::MAX));
+        // The oracle arms no timers, so the queue drains well inside the
+        // default horizon and both runs are the same run.
+        assert_eq!(unbounded.messages_sent, default.messages_sent);
+        assert_eq!(unbounded.end_time_us, default.end_time_us);
     }
 
     #[test]

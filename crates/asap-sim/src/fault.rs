@@ -2,9 +2,9 @@
 //! duplication, and timed partition windows.
 //!
 //! A [`FaultPlan`] attached via [`Simulation::with_faults`](crate::Simulation::with_faults)
-//! intercepts every [`Ctx::send`](crate::Ctx::send) *after* the bytes are
-//! charged (the sender consumed the bandwidth whether or not the network
-//! delivers) and decides the message's fate:
+//! intercepts every [`Transport::send`](crate::Transport::send) *after* the
+//! bytes are charged (the sender consumed the bandwidth whether or not the
+//! network delivers) and decides the message's fate:
 //!
 //! 1. **partition** — if a [`PartitionWindow`] is active and the edge
 //!    crosses the cut, the message is dropped (no RNG draw);

@@ -14,6 +14,7 @@
 pub mod adversary;
 pub mod arena;
 pub mod audit;
+pub mod carrier;
 pub mod checkpoint;
 pub mod engine;
 pub mod event;
@@ -37,6 +38,7 @@ pub use adversary::{
 };
 pub use arena::{NodeIdx, NodeTable};
 pub use audit::{AuditConfig, AuditReport, Fnv64};
+pub use carrier::{Carrier, InMemory};
 pub use checkpoint::{Checkpoint, CheckpointProtocol, CodecError, Decoder, Encoder};
 pub use engine::{Ctx, EngineProfile, Protocol, SimBuilder, SimReport, Simulation};
 pub use event::{EngineEvent, EventHandle};

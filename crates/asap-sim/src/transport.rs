@@ -8,12 +8,13 @@
 //! that `Protocol` hooks are generic over, so the *same* monomorphized
 //! state machines drive both backends:
 //!
-//! * the deterministic sim engine (`Ctx` implements `Transport` by
-//!   delegating to its inherent methods — zero behavior change, every
-//!   golden digest bit-identical), and
+//! * the deterministic sim engine, whose queue carries message values, and
 //! * `asap-net`'s loopback/daemon runtimes, where [`Transport::send`]
-//!   crosses a real wire codec (length-prefixed frames, per-peer outbound
-//!   queues) instead of pushing a typed event.
+//!   crosses a real wire codec (length-prefixed frames) instead.
+//!
+//! Both are the one engine context, [`Ctx`](crate::Ctx), the trait's only
+//! implementation: what differs is the payload [`Carrier`](crate::Carrier)
+//! its event queue is instantiated with.
 //!
 //! The trait is deliberately *not* object-safe ([`Transport::trace`] is
 //! generic so a disabled sink costs one pointer test and never constructs

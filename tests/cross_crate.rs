@@ -208,3 +208,63 @@ fn audited_full_stack_run_is_clean() {
     assert!(audit.events > 0 && audit.checks > 0);
     assert_ne!(audit.digest, 0);
 }
+
+#[test]
+fn loopback_replays_asap_identically_to_the_sim() {
+    // The sim engine and the wire-framed loopback are one event loop with
+    // two payload carriers: ASAP(RW) on a small world must reach the same
+    // lifecycle digest on both, with every loopback message crossing the
+    // wire codec.
+    use asap_net::Loopback;
+    use asap_p2p::trace::{Backend, DigestSink, LifecycleDigest, TraceSink};
+
+    const SMALL: usize = 100;
+    let phys = PhysicalNetwork::generate(&TransitStubConfig::reduced(SEED));
+    let workload = asap_p2p::workload::generate(&WorkloadConfig::reduced(SMALL, 120, SEED));
+    let overlay = || OverlayConfig::new(OverlayKind::Random, SMALL, SEED).build();
+    let protocol = || Asap::new(AsapConfig::rw().scaled_to(SMALL), &workload.model);
+    let digest = |sink: Option<Box<dyn TraceSink>>| -> LifecycleDigest {
+        match sink
+            .expect("sink comes back out")
+            .into_any()
+            .downcast::<DigestSink>()
+        {
+            Ok(d) => d.digest(),
+            Err(_) => panic!("digest sink downcasts back"),
+        }
+    };
+
+    let sim = Simulation::builder(
+        &phys,
+        &workload,
+        overlay(),
+        OverlayKind::Random,
+        protocol(),
+        SEED,
+    )
+    .trace(Box::new(DigestSink::new(Backend::Sim)))
+    .run();
+    let net = Loopback::new(
+        &phys,
+        &workload,
+        overlay(),
+        OverlayKind::Random,
+        protocol(),
+        SEED,
+    )
+    .trace(Box::new(DigestSink::new(Backend::Net)))
+    .run();
+
+    assert_eq!(net.wire_errors, 0, "frames failed to decode");
+    assert!(sim.ledger.num_succeeded() > 0, "the cell answers queries");
+    let (ds, dn) = (digest(sim.trace), digest(net.trace));
+    assert_eq!(dn.backend(), Backend::Net);
+    assert_eq!(ds.count(), dn.count(), "lifecycle event counts diverge");
+    assert_eq!(
+        ds.value(),
+        dn.value(),
+        "sim and loopback lifecycle digests diverge"
+    );
+    assert_eq!(sim.messages_sent, net.messages_sent);
+    assert_eq!(sim.load.total_bytes(), net.load.total_bytes());
+}
