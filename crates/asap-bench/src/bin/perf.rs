@@ -2,8 +2,8 @@
 //! are committed as `BENCH_pr9.json` at the workspace root.
 //!
 //! * `cargo run --release -p asap-bench --bin perf -- --scale all` — run
-//!   every leg (tiny micros + e2e, default sweeps + backend comparison, the
-//!   xl 100k-peer cell) and write `BENCH_pr9.json` (`--out FILE` redirects).
+//!   every leg (tiny micros + e2e, default e2e cell + sweeps, the xl
+//!   100k-peer cell) and write `BENCH_pr9.json` (`--out FILE` redirects).
 //! * `cargo run --release -p asap-bench --bin perf -- --check BENCH_pr9.json`
 //!   — run the requested legs and exit nonzero if any timed metric regressed
 //!   more than the tolerance (default 25 %, `--tolerance 0.4` to loosen)
@@ -19,17 +19,15 @@
 //!   observability tax), and the serial-vs-parallel 4-cell sweep. The
 //!   engine's event-loop profile counters ride along as exact integers: any
 //!   drift in them is a behavior change, not noise.
-//! * `default` — the 4-cell sweep serial vs parallel at default scale
-//!   (1,500 peers), plus one default cell on the binary-heap vs the
-//!   time-window-sharded queue backend (`shard_speedup_default`); the two
-//!   runs must agree on the outcome fingerprint, so the comparison doubles
-//!   as a backend-invariance check at a scale the goldens never reach.
+//! * `default` — one ASAP(RW) cell at default scale (1,500 peers,
+//!   `e2e_default_sharded_ms`; the key keeps the name it had when a second
+//!   queue backend existed) and the 4-cell sweep serial vs parallel.
 //! * `xl` — build the streamed 103,872-node topology and run one 100,000
-//!   peer random-walk cell on the sharded backend (`e2e_xl_ms`).
+//!   peer random-walk cell (`e2e_xl_ms`).
 //!
-//! Speedup ratios (`sweep_speedup_*`, `shard_speedup_default`) are derived
-//! values: written for the trajectory record, never regression-gated (they
-//! move with core count — `threads` records what this host gave the run).
+//! Speedup ratios (`sweep_speedup_*`) are derived values: written for the
+//! trajectory record, never regression-gated (they move with core count —
+//! `threads` records what this host gave the run).
 //!
 //! `--gate KEY=TOL` (repeatable) pins a per-key tolerance tighter than the
 //! global `--tolerance`; CI uses it to hold the micro benches to 5 %.
@@ -277,8 +275,8 @@ fn leg_default(r: &mut Results, threads: usize) {
     eprintln!("perf[default]: building the world...");
     let world = World::build(Scale::Default, SEED);
 
-    eprintln!("perf[default]: e2e cell on the heap backend...");
-    let (heap, heap_ms) = timed_ms(|| {
+    eprintln!("perf[default]: e2e cell...");
+    let (_, e2e_ms) = timed_ms(|| {
         run_cell_spec(
             &world,
             AlgoKind::AsapRw,
@@ -286,22 +284,7 @@ fn leg_default(r: &mut Results, threads: usize) {
             &RunSpec::figures(),
         )
     });
-    eprintln!("perf[default]: e2e cell on the sharded backend...");
-    let (sharded, sharded_ms) = timed_ms(|| {
-        run_cell_spec(
-            &world,
-            AlgoKind::AsapRw,
-            OverlayKind::Random,
-            &RunSpec::figures().with_sharded(true),
-        )
-    });
-    assert_eq!(
-        heap.outcome_fingerprint, sharded.outcome_fingerprint,
-        "sharded backend diverged from the heap at default scale"
-    );
-    r.timed("e2e_default_heap_ms", heap_ms);
-    r.timed("e2e_default_sharded_ms", sharded_ms);
-    r.derived("shard_speedup_default", heap_ms / sharded_ms);
+    r.timed("e2e_default_sharded_ms", e2e_ms);
 
     eprintln!("perf[default]: serial vs parallel sweep ({threads} workers)...");
     let (serial_ms, parallel_ms) = sweep_pair(&world, threads);
@@ -315,13 +298,13 @@ fn leg_xl(r: &mut Results) {
     let (world, build_ms) = timed_ms(|| World::build(Scale::Xl, SEED));
     r.timed("xl_world_build_ms", build_ms);
 
-    eprintln!("perf[xl]: 100k-peer random-walk cell (sharded backend)...");
+    eprintln!("perf[xl]: 100k-peer random-walk cell...");
     let (cell, e2e_ms) = timed_ms(|| {
         run_cell_spec(
             &world,
             AlgoKind::RandomWalk,
             OverlayKind::Random,
-            &RunSpec::figures().with_sharded(true),
+            &RunSpec::figures(),
         )
     });
     assert!(cell.queries > 0, "xl cell must actually run queries");

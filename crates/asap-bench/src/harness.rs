@@ -108,15 +108,13 @@ pub fn replay_scenario_cell(
 }
 
 /// Replay the full matrix of one scenario pack, in golden-file order, fanned
-/// across `workers` rayon workers. `sharded` selects the event-queue
-/// backend; every digest must be backend-invariant.
+/// across `workers` rayon workers.
 pub fn replay_scenario_matrix(
     world: &World,
     pack: ScenarioPack,
     workers: usize,
-    sharded: bool,
 ) -> Vec<ReplayRecord> {
-    let spec = scenario_spec(pack).with_sharded(sharded);
+    let spec = scenario_spec(pack);
     sweep_cells_spec(world, &replay_matrix_cells(), workers, &spec)
         .into_iter()
         .map(|cell| cell_to_record(&cell))
@@ -157,22 +155,19 @@ pub fn replay_matrix(world: &World) -> Vec<ReplayRecord> {
 
 /// The whole replay matrix under a fault profile, serially.
 pub fn replay_matrix_with(world: &World, faults: FaultProfile) -> Vec<ReplayRecord> {
-    replay_matrix_parallel(world, faults, 1, false)
+    replay_matrix_parallel(world, faults, 1)
 }
 
 /// The whole replay matrix under a fault profile, fanned across `workers`
 /// rayon workers. Records come back in golden-file order regardless of the
 /// worker count; the golden `--check` runs this with parallelism on to prove
-/// the parallel sweep reproduces the pinned digests bit-for-bit. `sharded`
-/// selects the event-queue backend; the pinned digests must come out
-/// identical either way (`--check --sharded` is the enforcement).
+/// the parallel sweep reproduces the pinned digests bit-for-bit.
 pub fn replay_matrix_parallel(
     world: &World,
     faults: FaultProfile,
     workers: usize,
-    sharded: bool,
 ) -> Vec<ReplayRecord> {
-    let spec = replay_spec(faults, false).with_sharded(sharded);
+    let spec = replay_spec(faults, false);
     sweep_cells_spec(world, &replay_matrix_cells(), workers, &spec)
         .into_iter()
         .map(|cell| cell_to_record(&cell))
@@ -187,9 +182,8 @@ pub fn replay_matrix_traced(
     world: &World,
     faults: FaultProfile,
     workers: usize,
-    sharded: bool,
 ) -> Vec<(ReplayRecord, CellReport)> {
-    let spec = replay_spec(faults, true).with_sharded(sharded);
+    let spec = replay_spec(faults, true);
     sweep_cells_spec(world, &replay_matrix_cells(), workers, &spec)
         .into_iter()
         .map(|cell| (cell_to_record(&cell), cell))
@@ -328,12 +322,9 @@ pub struct ResumeRecord {
 }
 
 /// Replay one resume cell: one uninterrupted audited run for the reference
-/// digest and end time, then one split run per quarter point. With
-/// `sharded`, both halves of every split run — and the cold reference — use
-/// the sharded backend, so resume goldens gate backend invariance across
-/// the checkpoint boundary too.
-pub fn replay_resume_cell(world: &World, cell: ResumeCell, sharded: bool) -> Vec<ResumeRecord> {
-    let spec = cell.variant.spec().with_sharded(sharded);
+/// digest and end time, then one split run per quarter point.
+pub fn replay_resume_cell(world: &World, cell: ResumeCell) -> Vec<ResumeRecord> {
+    let spec = cell.variant.spec();
     let cold = run_cell_spec(world, cell.algo, cell.overlay, &spec);
     let cold_digest = cell_to_record(&cold).digest;
     (1..=RESUME_SPLITS)
@@ -354,12 +345,12 @@ pub fn replay_resume_cell(world: &World, cell: ResumeCell, sharded: bool) -> Vec
 /// The whole resume matrix, fanned across `workers` rayon workers at cell
 /// grain (each cell's four runs stay serial on one worker). Records come
 /// back in cell-then-split order regardless of the worker count.
-pub fn resume_matrix_records(world: &World, workers: usize, sharded: bool) -> Vec<ResumeRecord> {
+pub fn resume_matrix_records(world: &World, workers: usize) -> Vec<ResumeRecord> {
     let cells = resume_matrix_cells();
     if workers <= 1 {
         return cells
             .into_iter()
-            .flat_map(|c| replay_resume_cell(world, c, sharded))
+            .flat_map(|c| replay_resume_cell(world, c))
             .collect();
     }
     let pool = rayon::ThreadPoolBuilder::new()
@@ -369,7 +360,7 @@ pub fn resume_matrix_records(world: &World, workers: usize, sharded: bool) -> Ve
     let per_cell: Vec<Vec<ResumeRecord>> = pool.install(|| {
         cells
             .into_par_iter()
-            .map(|c| replay_resume_cell(world, c, sharded))
+            .map(|c| replay_resume_cell(world, c))
             .collect()
     });
     per_cell.into_iter().flatten().collect()

@@ -147,11 +147,6 @@ pub struct RunSpec {
     /// Adversary profile (also poisons ASAP's protocol state for spam
     /// peers). The default `None` attaches no adversary layer at all.
     pub adversary: AdversaryProfile,
-    /// Run the engine on the time-window-sharded event queue instead of the
-    /// single binary heap. Pop order — and therefore every digest — is
-    /// identical by construction; the golden `--check --sharded` leg pins
-    /// that equivalence against all 150 golden digests.
-    pub sharded: bool,
 }
 
 impl RunSpec {
@@ -181,12 +176,6 @@ impl RunSpec {
     /// Run under an adversary profile.
     pub fn with_adversary(mut self, adversary: AdversaryProfile) -> Self {
         self.adversary = adversary;
-        self
-    }
-
-    /// Select the sharded event-queue backend.
-    pub fn with_sharded(mut self, sharded: bool) -> Self {
-        self.sharded = sharded;
         self
     }
 }
@@ -315,7 +304,7 @@ fn apply_spec<'a, P: Protocol>(
     if let Some(tc) = spec.trace {
         b = b.trace(Box::new(Recorder::new(tc)));
     }
-    b.sharded(spec.sharded)
+    b
 }
 
 /// Drive one protocol through a cell, either uninterrupted or split at
@@ -360,15 +349,12 @@ fn drive<P: CheckpointProtocol>(
         make(),
         world.seed,
     );
-    // Only the trace sink and the queue backend are re-attached: the sink
-    // lives outside checkpointed state (so the recorder holds post-split
-    // events only), and the backend is an execution strategy, not state —
-    // the resumed queue adopts the fresh builder's choice. Audit, faults,
+    // Only the trace sink is re-attached: it lives outside checkpointed
+    // state, so the recorder holds post-split events only. Audit, faults,
     // and adversary come from the checkpoint.
     if let Some(tc) = spec.trace {
         fresh = fresh.trace(Box::new(Recorder::new(tc)));
     }
-    fresh = fresh.sharded(spec.sharded);
     fresh
         .from_checkpoint(&ckpt)
         .expect("resume world matches the checkpointed world")

@@ -1,6 +1,5 @@
-//! XL-scale smoke: the 100,000-peer tier actually runs end to end, and the
-//! sharded queue backend agrees with the binary heap at a scale the pinned
-//! goldens never reach.
+//! XL-scale smoke: the 100,000-peer tier actually runs end to end, and its
+//! outcome is pinned at a scale the golden matrices never reach.
 //!
 //! Ignored by default — building the 103,872-node streamed topology plus a
 //! 100k-peer cell takes ~15 s in release (minutes in debug). CI's bench-smoke
@@ -13,7 +12,7 @@ use asap_overlay::OverlayKind;
 
 #[test]
 #[ignore = "builds a 103,872-node topology and runs a 100k-peer cell; release-only"]
-fn xl_cell_completes_and_backends_agree() {
+fn xl_cell_completes_and_matches_the_pinned_outcome() {
     let world = World::build(Scale::Xl, 42);
     assert_eq!(world.scale.peers(), 100_000);
     assert!(
@@ -26,23 +25,16 @@ fn xl_cell_completes_and_backends_agree() {
         faults: FaultProfile::None,
         ..RunSpec::figures()
     };
-    let heap = run_cell_spec(&world, AlgoKind::RandomWalk, OverlayKind::Random, &spec);
-    assert!(heap.queries > 0, "xl cell must run queries");
+    let cell = run_cell_spec(&world, AlgoKind::RandomWalk, OverlayKind::Random, &spec);
+    assert!(cell.queries > 0, "xl cell must run queries");
     assert!(
-        heap.summary.success_rate > 0.0,
+        cell.summary.success_rate > 0.0,
         "a 100k-peer random walk should answer at least one query"
     );
-
-    let sharded = run_cell_spec(
-        &world,
-        AlgoKind::RandomWalk,
-        OverlayKind::Random,
-        &spec.clone().with_sharded(true),
-    );
-    assert_eq!(
-        heap.outcome_fingerprint, sharded.outcome_fingerprint,
-        "sharded backend diverged from the heap at xl scale"
-    );
-    assert_eq!(heap.profile.sends, sharded.profile.sends);
-    assert_eq!(heap.profile.queue_hwm, sharded.profile.queue_hwm);
+    // Pinned from the release that still carried a binary-heap queue next
+    // to the calendar queue, where both produced these values: the one
+    // remaining queue must reproduce them.
+    assert_eq!(cell.outcome_fingerprint, 0x76bd_60d6_9515_ffeb, "xl outcome drifted");
+    assert_eq!(cell.profile.sends, 4_013_229);
+    assert_eq!(cell.profile.queue_hwm, 21_010);
 }

@@ -77,10 +77,11 @@ pub enum Call {
     Free(String),
 }
 
-/// Keywords that precede `(` without being calls.
-const NON_CALL_KEYWORDS: [&str; 14] = [
+/// Keywords that precede `(` without being calls (`fn(` is a function
+/// pointer type).
+const NON_CALL_KEYWORDS: [&str; 15] = [
     "if", "while", "for", "match", "return", "in", "as", "loop", "move", "else", "let", "mut",
-    "ref", "dyn",
+    "ref", "dyn", "fn",
 ];
 
 /// Parse the item structure of a lexed file. `in_test` comes from
@@ -139,6 +140,9 @@ fn walk(
                 out.traits.push(TraitDef { name, methods });
                 i = close + 1;
             }
+            // `fn(` is a function-pointer type (`f: fn(&T) -> U`,
+            // `PhantomData<fn() -> P>`), not an item: an item names itself.
+            "fn" if tokens.get(i + 1).is_some_and(|t| t.is_punct('(')) => i += 1,
             "fn" => {
                 let (def, next) = parse_fn(tokens, in_test, i, end, impl_ctx, trait_ctx);
                 if let Some(def) = def {
@@ -466,7 +470,8 @@ mod tests {
     #[test]
     fn calls_are_classified() {
         let src = "fn f() { g(); x.h(); Type::make(); path::seg::free_in_mod(); \
-                   wire::decode::<P>(&b); x.collect::<Vec<_>>(); }";
+                   wire::decode::<P>(&b); x.collect::<Vec<_>>(); \
+                   let p: fn(u32) -> u32 = g; }";
         let s = parse_src(src);
         let lexed = lex(src);
         let calls = calls_in(&lexed.tokens, s.fns[0].body);
@@ -498,6 +503,18 @@ mod tests {
                 ("t".to_string(), true)
             ]
         );
+    }
+
+    #[test]
+    fn fn_pointer_types_are_not_items() {
+        let s = parse_src(
+            "pub struct Wire<P> { _p: PhantomData<fn() -> P> }\n\
+             struct Col { name: &'static str, f: fn(&Outcome) -> f64 }\n\
+             fn after(c: &Col) -> f64 { (c.f)(&Outcome) }\n\
+             impl<P> Wire<P> { fn encode(&self) {} }",
+        );
+        let names: Vec<String> = s.fns.iter().map(|f| f.qual_name()).collect();
+        assert_eq!(names, vec!["after", "Wire::encode"]);
     }
 
     #[test]

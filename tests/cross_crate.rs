@@ -268,3 +268,50 @@ fn loopback_replays_asap_identically_to_the_sim() {
     assert_eq!(sim.messages_sent, net.messages_sent);
     assert_eq!(sim.load.total_bytes(), net.load.total_bytes());
 }
+
+#[test]
+fn asap_resumes_from_a_checkpoint_identically_to_a_cold_run() {
+    // Checkpoint/resume on the engine's one event queue: the 100-peer
+    // ASAP(RW) cell, checkpointed halfway to its horizon and resumed from
+    // the serialized bytes (the queue is rebuilt from its sorted entry
+    // view), must end exactly where the uninterrupted run ends.
+    use asap_p2p::sim::{AuditConfig, Checkpoint, SimBuilder};
+
+    const SMALL: usize = 100;
+    let phys = PhysicalNetwork::generate(&TransitStubConfig::reduced(SEED));
+    let workload = asap_p2p::workload::generate(&WorkloadConfig::reduced(SMALL, 120, SEED));
+    let builder = || -> SimBuilder<'_, Asap> {
+        Simulation::builder(
+            &phys,
+            &workload,
+            OverlayConfig::new(OverlayKind::Random, SMALL, SEED).build(),
+            OverlayKind::Random,
+            Asap::new(AsapConfig::rw().scaled_to(SMALL), &workload.model),
+            SEED,
+        )
+        .audit(AuditConfig::default())
+    };
+    let digest = |report: &SimReport<Asap>| {
+        let audit = report.audit.as_ref().expect("audited run");
+        assert!(audit.is_clean(), "violations: {:?}", audit.violations);
+        audit.digest
+    };
+
+    let cold = builder().run();
+    assert!(cold.ledger.num_succeeded() > 0, "the cell answers queries");
+    // ASAP re-arms its refresh timers forever, so the horizon ends the run.
+    let split_us = cold.end_time_us / 2;
+    let mut first = builder().build();
+    first.run_until(split_us);
+    let bytes = first.checkpoint().into_bytes();
+    drop(first);
+    let ckpt = Checkpoint::from_bytes(bytes).expect("self-produced bytes parse");
+    let warm = builder()
+        .from_checkpoint(&ckpt)
+        .expect("resume into the same world")
+        .run();
+
+    assert_eq!(digest(&cold), digest(&warm), "resumed digest diverges");
+    assert_eq!(cold.messages_sent, warm.messages_sent);
+    assert_eq!(cold.end_time_us, warm.end_time_us);
+}
