@@ -170,6 +170,126 @@ where
     );
 }
 
+/// Fixed frame corpus: every `BaselineMsg` and `AsapMsg` variant, every
+/// `AdPayload` and `Forwarding` shape, and the `None`/empty cases (no query,
+/// no terms, empty term lists, empty replies, an empty patch).
+fn corpus() -> (Vec<Frame<BaselineMsg>>, Vec<Frame<AsapMsg>>) {
+    let terms = keywords(17, 3);
+    let none: Rc<[KeywordId]> = Vec::new().into();
+    let baseline = vec![
+        BaselineMsg::Flood { query: 1, requester: PeerId(2), terms: Rc::clone(&terms), ttl: 6 },
+        BaselineMsg::Flood { query: 2, requester: PeerId(0), terms: Rc::clone(&none), ttl: 0 },
+        BaselineMsg::Walk { query: 3, requester: PeerId(9), terms: Rc::clone(&terms), ttl: 1024 },
+        BaselineMsg::Gsa { query: 4, requester: PeerId(77), terms: Rc::clone(&terms), budget: 8000 },
+        BaselineMsg::Hit { query: 5, results: 0 },
+        BaselineMsg::Hit { query: u32::MAX, results: 3 },
+    ];
+    let old = BloomFilter::from_keys(BloomParams::paper_default(), ["a", "b"]);
+    let new = BloomFilter::from_keys(BloomParams::paper_default(), ["b", "c", "d"]);
+    let patch = asap_bloom::FilterPatch::diff(&old, &new);
+    let payloads = [
+        AdPayload::Full(snapshot(3)),
+        AdPayload::Patch {
+            source: PeerId(4),
+            topics: InterestSet(0b110),
+            version: 9,
+            patch: Rc::new(patch),
+            result: Rc::new(new.clone()),
+        },
+        AdPayload::Patch {
+            source: PeerId(4),
+            topics: InterestSet(0),
+            version: 10,
+            patch: Rc::new(asap_bloom::FilterPatch::default()),
+            result: Rc::new(new),
+        },
+        AdPayload::Refresh { source: PeerId(8), topics: InterestSet(1), version: 0 },
+    ];
+    let fwds = [
+        Forwarding::Direct,
+        Forwarding::Flood { ttl: 6 },
+        Forwarding::Walk { budget: 900 },
+        Forwarding::Gsa { budget: 12 },
+    ];
+    let mut asap: Vec<AsapMsg> = payloads
+        .iter()
+        .zip(fwds)
+        .enumerate()
+        .map(|(i, (payload, fwd))| AsapMsg::Ad { payload: payload.clone(), fwd, delivery: 40 + i as u64 })
+        .collect();
+    asap.extend([
+        AsapMsg::FullAdFetch,
+        AsapMsg::AdsRequest {
+            requester: PeerId(3),
+            interests: InterestSet(0b11),
+            hops: 1,
+            query: Some(17),
+            terms: Some(Rc::clone(&terms)),
+        },
+        AsapMsg::AdsRequest { requester: PeerId(3), interests: InterestSet(0), hops: 2, query: None, terms: None },
+        AsapMsg::AdsRequest {
+            requester: PeerId(3),
+            interests: InterestSet(1),
+            hops: 0,
+            query: Some(0),
+            terms: Some(Rc::clone(&none)),
+        },
+        AsapMsg::AdsReply { ads: vec![snapshot(5), snapshot(6)], query: Some(17) },
+        AsapMsg::AdsReply { ads: Vec::new(), query: None },
+        AsapMsg::Confirm { query: 17, requester: PeerId(3), terms },
+        AsapMsg::Confirm { query: 18, requester: PeerId(0), terms: none },
+        AsapMsg::ConfirmReply { query: 17, results: 2 },
+    ]);
+    let wrap = |i: usize| (i as u32 * 31, i, i as u32 * 13 + 60);
+    (
+        baseline
+            .into_iter()
+            .enumerate()
+            .map(|(i, m)| {
+                let (peer, class, billed) = wrap(i);
+                frame(m, peer, class, billed)
+            })
+            .collect(),
+        asap.into_iter()
+            .enumerate()
+            .map(|(i, m)| {
+                let (peer, class, billed) = wrap(i);
+                frame(m, peer, class, billed)
+            })
+            .collect(),
+    )
+}
+
+/// Byte-format pin of the frame corpus: total length and FNV-1a hash of the
+/// concatenated frames, per protocol family. Measured before the codec moved
+/// to `Codec` impls; frames must also round-trip byte-identically.
+#[test]
+fn frame_corpus_bytes_are_pinned() {
+    let (baseline, asap) = corpus();
+    let mut bytes = Vec::new();
+    for f in &baseline {
+        let one = encode_frame::<Flooding>(f);
+        assert_roundtrip::<Flooding>(&one);
+        bytes.extend_from_slice(&one);
+    }
+    let split = bytes.len();
+    for f in &asap {
+        let one = encode_frame::<Asap>(f);
+        assert_roundtrip::<Asap>(&one);
+        bytes.extend_from_slice(&one);
+    }
+    let hash = |b: &[u8]| {
+        let mut h = Fnv64::new();
+        h.write_bytes(b);
+        h.finish()
+    };
+    assert_eq!(
+        (split, hash(&bytes[..split]), bytes.len() - split, hash(&bytes[split..])),
+        (280, 0x6f61_35c8_d087_97c4, 8_020, 0x769e_eb72_88de_7a61),
+        "frame bytes moved"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
