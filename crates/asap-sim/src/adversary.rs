@@ -40,6 +40,7 @@
 //! The auditor reconciles [`AdversaryStats`] exactly against its own mirror
 //! of the announced absorb events (see `SimAuditor::on_adversary_absorb`).
 
+use crate::checkpoint::{Codec, CodecError, Decoder, Encoder};
 use asap_metrics::MsgClass;
 use asap_overlay::PeerId;
 use rand::rngs::SmallRng;
@@ -268,6 +269,30 @@ impl AdversaryState {
         self.stats.eclipsed_edges += n;
     }
 }
+
+crate::codec_struct!(EclipseTarget { victim, captured_links });
+
+/// Rejects plans that fail [`AdversaryPlan::validate`].
+impl Codec for AdversaryPlan {
+    fn encode(&self, enc: &mut Encoder) {
+        (self.spam_ppm, self.free_rider_ppm).encode(enc);
+        self.eclipse.encode(enc);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let (spam_ppm, free_rider_ppm) = dec.get()?;
+        let plan = Self {
+            spam_ppm,
+            free_rider_ppm,
+            eclipse: dec.get()?,
+        };
+        match plan.validate() {
+            Ok(()) => Ok(plan),
+            Err(_) => Err(CodecError::Invalid("adversary plan fails validation")),
+        }
+    }
+}
+
+crate::codec_struct!(AdversaryStats { absorbed, spam_peers, free_riders, eclipsed_edges });
 
 #[cfg(test)]
 mod tests {

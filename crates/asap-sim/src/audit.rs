@@ -28,6 +28,7 @@
 //! pointer test per event.
 
 use crate::adversary::AdversaryStats;
+use crate::checkpoint::{Codec, CodecError, Decoder, Encoder};
 use crate::fault::FaultStats;
 use asap_metrics::{LoadRecorder, MsgClass, QueryLedger, RetryCounters, RetryStat};
 use asap_overlay::{Overlay, PeerId};
@@ -79,13 +80,6 @@ impl Fnv64 {
 
     pub const fn finish(self) -> u64 {
         self.0
-    }
-
-    /// Rebuild a streaming hash from a previously observed [`Fnv64::finish`]
-    /// value, continuing the fold exactly where the snapshot left off
-    /// (checkpointing; FNV-1a state is just the running hash word).
-    pub const fn from_raw(h: u64) -> Self {
-        Self(h)
     }
 }
 
@@ -188,6 +182,41 @@ pub struct SimAuditor {
     adversary_absorbed: u64,
 }
 
+// The auditor's checkpoint image (DESIGN.md §6d): config, violation
+// ledger, counters, digest word, last dispatch key, liveness mirror,
+// per-class accounting, robustness and fault/adversary mirrors.
+crate::codec_struct!(AuditConfig { check_invariants, digest_events, max_violations });
+
+crate::codec_struct!(SimAuditor {
+    cfg,
+    violations,
+    suppressed,
+    checks,
+    events,
+    digest,
+    last_key,
+    alive,
+    alive_count,
+    sent_bytes,
+    sent_msgs,
+    retry_mirror,
+    fault_drops,
+    fault_partition_drops,
+    fault_dups_announced,
+    fault_dups_seen,
+    adversary_absorbed,
+});
+
+/// The running hash word (FNV-1a state is just that word).
+impl Codec for Fnv64 {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u64(self.finish());
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        Ok(Self(dec.get_u64()?))
+    }
+}
+
 impl SimAuditor {
     /// Build an auditor whose liveness mirror starts from `alive` (the
     /// engine's initial map, before any event runs).
@@ -228,113 +257,6 @@ impl SimAuditor {
     /// Record an externally detected violation (protocol hooks, ledger).
     pub(crate) fn push_violation(&mut self, msg: String) {
         self.check(false, || msg);
-    }
-
-    /// Serialize the full auditor state in checkpoint field order (see
-    /// DESIGN.md §8): config, violation ledger, counters, digest word, last
-    /// dispatch key, liveness mirror, per-class accounting, robustness and
-    /// fault/adversary mirrors.
-    pub(crate) fn encode_checkpoint(&self, enc: &mut crate::checkpoint::Encoder) {
-        enc.put_bool(self.cfg.check_invariants);
-        enc.put_bool(self.cfg.digest_events);
-        enc.put_u64(self.cfg.max_violations as u64);
-        enc.put_u64(self.violations.len() as u64);
-        for v in &self.violations {
-            enc.put_str(v);
-        }
-        enc.put_u64(self.suppressed);
-        enc.put_u64(self.checks);
-        enc.put_u64(self.events);
-        enc.put_u64(self.digest.finish());
-        match self.last_key {
-            Some((t, s)) => {
-                enc.put_bool(true);
-                enc.put_u64(t);
-                enc.put_u64(s);
-            }
-            None => enc.put_bool(false),
-        }
-        enc.put_u64(self.alive.len() as u64);
-        for &a in &self.alive {
-            enc.put_bool(a);
-        }
-        enc.put_u64(self.alive_count as u64);
-        for &b in &self.sent_bytes {
-            enc.put_u64(b);
-        }
-        for &m in &self.sent_msgs {
-            enc.put_u64(m);
-        }
-        for &c in &self.retry_mirror.counts() {
-            enc.put_u64(c);
-        }
-        enc.put_u64(self.fault_drops);
-        enc.put_u64(self.fault_partition_drops);
-        enc.put_u64(self.fault_dups_announced);
-        enc.put_u64(self.fault_dups_seen);
-        enc.put_u64(self.adversary_absorbed);
-    }
-
-    /// Rebuild an auditor mid-run from [`Self::encode_checkpoint`] output.
-    pub(crate) fn decode_checkpoint(
-        dec: &mut crate::checkpoint::Decoder<'_>,
-    ) -> Result<Self, crate::checkpoint::CodecError> {
-        let cfg = AuditConfig {
-            check_invariants: dec.get_bool()?,
-            digest_events: dec.get_bool()?,
-            max_violations: dec.get_len()?,
-        };
-        let n_violations = dec.get_count()?;
-        let mut violations = Vec::with_capacity(n_violations);
-        for _ in 0..n_violations {
-            violations.push(dec.get_str()?);
-        }
-        let suppressed = dec.get_u64()?;
-        let checks = dec.get_u64()?;
-        let events = dec.get_u64()?;
-        let digest = Fnv64::from_raw(dec.get_u64()?);
-        let last_key = if dec.get_bool()? {
-            Some((dec.get_u64()?, dec.get_u64()?))
-        } else {
-            None
-        };
-        let n_alive = dec.get_count()?;
-        let mut alive = Vec::with_capacity(n_alive);
-        for _ in 0..n_alive {
-            alive.push(dec.get_bool()?);
-        }
-        let alive_count = dec.get_len()?;
-        let mut sent_bytes = [0u64; MsgClass::COUNT];
-        for b in sent_bytes.iter_mut() {
-            *b = dec.get_u64()?;
-        }
-        let mut sent_msgs = [0u64; MsgClass::COUNT];
-        for m in sent_msgs.iter_mut() {
-            *m = dec.get_u64()?;
-        }
-        let mut retry_counts = [0u64; 4];
-        for c in retry_counts.iter_mut() {
-            *c = dec.get_u64()?;
-        }
-        Ok(Self {
-            cfg,
-            violations,
-            suppressed,
-            checks,
-            events,
-            digest,
-            last_key,
-            alive,
-            alive_count,
-            sent_bytes,
-            sent_msgs,
-            retry_mirror: RetryCounters::from_counts(retry_counts),
-            fault_drops: dec.get_u64()?,
-            fault_partition_drops: dec.get_u64()?,
-            fault_dups_announced: dec.get_u64()?,
-            fault_dups_seen: dec.get_u64()?,
-            adversary_absorbed: dec.get_u64()?,
-        })
     }
 
     /// Length of the liveness mirror (decode validation: must equal the

@@ -115,6 +115,9 @@ pub struct Ctx<'a, M, W: Carrier<M> = InMemory> {
     pub(crate) messages_sent: u64,
     pub(crate) horizon_us: u64,
     pub(crate) trace_end_us: u64,
+    /// Queries in the workload trace; ids are dense below it, which bounds
+    /// the ledger a checkpoint may restore.
+    pub(crate) num_queries: usize,
     pub(crate) run_seed: u64,
     /// Optional invariant auditor (off by default: one pointer test per
     /// event when disabled).
@@ -583,6 +586,7 @@ impl<'a, P: Protocol, W: Carrier<P::Msg>> Simulation<'a, P, W> {
 
         let ctx = Ctx {
             trace_end_us,
+            num_queries: workload.trace.num_queries(),
             // Default horizon: 30 s of grace after the last trace event, so
             // in-flight searches settle but periodic timers can't run the
             // simulation forever.

@@ -30,6 +30,7 @@
 //! the announced drop/duplicate events, and flags any duplicate delivery
 //! that was never announced (see `SimAuditor::on_deliver`).
 
+use crate::checkpoint::{Codec, CodecError, Decoder, Encoder};
 use asap_overlay::PeerId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -177,24 +178,6 @@ impl FaultState {
         }
     }
 
-    /// Raw xoshiro state of the dedicated fault stream (checkpointing).
-    pub fn rng_state(&self) -> [u64; 4] {
-        self.rng.state()
-    }
-
-    /// Rebuild a fault layer mid-run from checkpointed state: the plan, the
-    /// dedicated stream's raw RNG state, and the statistics accumulated so
-    /// far. Continues the decision stream exactly where the snapshot left
-    /// off.
-    pub fn from_parts(plan: FaultPlan, rng_state: [u64; 4], stats: FaultStats) -> Self {
-        debug_assert!(plan.validate().is_ok(), "invalid fault plan");
-        Self {
-            plan,
-            rng: SmallRng::from_state(rng_state),
-            stats,
-        }
-    }
-
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
     }
@@ -255,6 +238,35 @@ impl FaultState {
         }
     }
 }
+
+crate::codec_struct!(PartitionWindow { start_us, end_us, cut_index });
+
+/// Rejects plans that fail [`FaultPlan::validate`].
+impl Codec for FaultPlan {
+    fn encode(&self, enc: &mut Encoder) {
+        (self.loss_ppm, self.jitter_max_us, self.duplicate_ppm).encode(enc);
+        self.partitions.encode(enc);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let (loss_ppm, jitter_max_us, duplicate_ppm) = dec.get()?;
+        let plan = Self {
+            loss_ppm,
+            jitter_max_us,
+            duplicate_ppm,
+            partitions: dec.get()?,
+        };
+        match plan.validate() {
+            Ok(()) => Ok(plan),
+            Err(_) => Err(CodecError::Invalid("fault plan fails validation")),
+        }
+    }
+}
+
+crate::codec_struct!(FaultStats { dropped, partitioned, duplicated, jittered, decisions });
+
+// The plan, the dedicated stream's raw RNG state (continuing the decision
+// stream exactly where the snapshot left off), and the statistics so far.
+crate::codec_struct!(FaultState { plan, rng, stats });
 
 #[cfg(test)]
 mod tests {

@@ -16,6 +16,7 @@ pub mod arena;
 pub mod audit;
 pub mod carrier;
 pub mod checkpoint;
+mod codec;
 pub mod engine;
 pub mod event;
 pub mod fault;

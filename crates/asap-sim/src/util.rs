@@ -1,5 +1,6 @@
 //! Small protocol-side utilities.
 
+use crate::checkpoint::{Codec, CodecError, Decoder, Encoder};
 use crate::collections::{DetHashMap, DetHashSet};
 use std::collections::VecDeque;
 use std::hash::Hash;
@@ -51,40 +52,45 @@ impl<K: Hash + Eq + Copy> SeenTracker<K> {
     pub fn tracked_keys(&self) -> usize {
         self.seen.len()
     }
+}
 
-    /// The configured window size (checkpointing).
-    pub fn window(&self) -> usize {
-        self.window
+/// The window, then `(key, visitors)` pairs in eviction-queue order
+/// (oldest first) with visitors ascending. The eviction queue and the map
+/// hold exactly the same keys, so this is the whole state. Decoding rejects
+/// a zero window and more keys than the window holds.
+impl<K: Codec + Hash + Eq + Copy> Codec for SeenTracker<K> {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_len(self.window);
+        enc.put_len(self.order.len());
+        for k in &self.order {
+            k.encode(enc);
+            let mut visitors: Vec<u32> = self
+                .seen
+                .get(k)
+                .map(|s| s.iter().copied().collect())
+                .unwrap_or_default();
+            visitors.sort_unstable();
+            visitors.encode(enc);
+        }
     }
 
-    /// Canonical checkpoint view: `(key, visitors)` pairs in eviction-queue
-    /// order (oldest first), visitors sorted ascending. The eviction queue
-    /// and the map hold exactly the same keys, so this captures the whole
-    /// state.
-    pub fn entries(&self) -> Vec<(K, Vec<u32>)> {
-        self.order
-            .iter()
-            .map(|k| {
-                let mut visitors: Vec<u32> = self
-                    .seen
-                    .get(k)
-                    .map(|s| s.iter().copied().collect())
-                    .unwrap_or_default();
-                visitors.sort_unstable();
-                (*k, visitors)
-            })
-            .collect()
-    }
-
-    /// Rebuild a tracker from [`SeenTracker::entries`] output. Entries must
-    /// be in eviction-queue order and within the window.
-    pub fn from_entries(window: usize, entries: Vec<(K, Vec<u32>)>) -> Self {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let window = dec.get_len()?;
+        if window == 0 {
+            return Err(CodecError::Invalid("zero seen window"));
+        }
+        let n = dec.get_count()?;
+        if n > window {
+            return Err(CodecError::Invalid("seen entries exceed window"));
+        }
         let mut t = Self::new(window);
-        for (key, visitors) in entries {
+        for _ in 0..n {
+            let key = K::decode(dec)?;
+            let visitors: Vec<u32> = dec.get()?;
             t.order.push_back(key);
             t.seen.insert(key, visitors.into_iter().collect());
         }
-        t
+        Ok(t)
     }
 }
 
@@ -123,24 +129,11 @@ impl Backoff {
     pub fn exhausted(&self) -> bool {
         self.remaining == 0
     }
-
-    /// Raw `(delay_us, cap_us, remaining)` fields, for checkpointing a
-    /// backoff mid-stream. Pair with [`Backoff::from_raw_parts`].
-    pub fn raw_parts(&self) -> (u64, u64, u32) {
-        (self.delay_us, self.cap_us, self.remaining)
-    }
-
-    /// Rebuild a backoff from [`Backoff::raw_parts`] output. No clamping is
-    /// applied — the fields are restored verbatim so a checkpointed backoff
-    /// continues its schedule exactly.
-    pub fn from_raw_parts(delay_us: u64, cap_us: u64, remaining: u32) -> Self {
-        Self {
-            delay_us,
-            cap_us,
-            remaining,
-        }
-    }
 }
+
+// Restored verbatim, without `new`'s clamping, so a checkpointed backoff
+// continues its schedule exactly.
+crate::codec_struct!(Backoff { delay_us, cap_us, remaining });
 
 /// The delay before each retry, one item per attempt in the budget.
 impl Iterator for Backoff {

@@ -18,6 +18,7 @@
 
 use asap_metrics::MsgClass;
 use asap_overlay::{Overlay, OverlayConfig, OverlayKind, PeerId};
+use asap_sim::checkpoint::Codec;
 use asap_sim::collections::DetHashMap;
 use asap_sim::{
     query_hit_size, query_size, AdversaryPlan, AuditConfig, Checkpoint, CheckpointProtocol,
@@ -145,90 +146,30 @@ impl Protocol for Pinger {
     }
 }
 
+asap_sim::codec_enum!(PingMsg {
+    0 => Ask { query, terms },
+    1 => Reply { query },
+});
+
+asap_sim::codec_struct!(Pending { handle, requester, target, attempts, terms });
+
+asap_sim::codec_struct!(Pinger { pending, cancelled_live, retried });
+
 impl CheckpointProtocol for Pinger {
     fn encode_msg(msg: &PingMsg, enc: &mut Encoder) {
-        match msg {
-            PingMsg::Ask { query, terms } => {
-                enc.put_u8(0);
-                enc.put_u32(*query);
-                enc.put_len(terms.len());
-                for t in terms {
-                    enc.put_u32(t.0);
-                }
-            }
-            PingMsg::Reply { query } => {
-                enc.put_u8(1);
-                enc.put_u32(*query);
-            }
-        }
+        msg.encode(enc);
     }
 
     fn decode_msg(dec: &mut Decoder<'_>) -> Result<PingMsg, CodecError> {
-        match dec.get_u8()? {
-            0 => {
-                let query = dec.get_u32()?;
-                let n = dec.get_count()?;
-                let mut terms = Vec::with_capacity(n);
-                for _ in 0..n {
-                    terms.push(KeywordId(dec.get_u32()?));
-                }
-                Ok(PingMsg::Ask { query, terms })
-            }
-            1 => Ok(PingMsg::Reply {
-                query: dec.get_u32()?,
-            }),
-            _ => Err(CodecError::BadTag),
-        }
+        dec.get()
     }
 
     fn encode_state(&self, enc: &mut Encoder) {
-        let mut ids: Vec<u32> = self.pending.keys().copied().collect();
-        ids.sort_unstable();
-        enc.put_len(ids.len());
-        for id in ids {
-            let p = &self.pending[&id];
-            enc.put_u32(id);
-            enc.put_u64(p.handle.raw());
-            enc.put_u32(p.requester.0);
-            enc.put_u32(p.target.0);
-            enc.put_u8(p.attempts);
-            enc.put_len(p.terms.len());
-            for t in &p.terms {
-                enc.put_u32(t.0);
-            }
-        }
-        enc.put_u64(self.cancelled_live);
-        enc.put_u64(self.retried);
+        self.encode(enc);
     }
 
     fn decode_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
-        let n = dec.get_count()?;
-        let mut pending = DetHashMap::default();
-        for _ in 0..n {
-            let id = dec.get_u32()?;
-            let handle = EventHandle::from_raw(dec.get_u64()?);
-            let requester = PeerId(dec.get_u32()?);
-            let target = DocId(dec.get_u32()?);
-            let attempts = dec.get_u8()?;
-            let t = dec.get_count()?;
-            let mut terms = Vec::with_capacity(t);
-            for _ in 0..t {
-                terms.push(KeywordId(dec.get_u32()?));
-            }
-            pending.insert(
-                id,
-                Pending {
-                    handle,
-                    requester,
-                    target,
-                    terms,
-                    attempts,
-                },
-            );
-        }
-        self.pending = pending;
-        self.cancelled_live = dec.get_u64()?;
-        self.retried = dec.get_u64()?;
+        *self = dec.get()?;
         Ok(())
     }
 }
@@ -405,22 +346,92 @@ proptest! {
     }
 }
 
+const SAMPLE_SEED: u64 = 72;
+
+/// The world of the corruption samples, built once.
+fn sample_world() -> &'static (PhysicalNetwork, Workload, Overlay) {
+    static WORLD: OnceLock<(PhysicalNetwork, Workload, Overlay)> = OnceLock::new();
+    WORLD.get_or_init(|| world(SAMPLE_SEED))
+}
+
 /// One mid-run checkpoint, built once, shared by every corruption proptest
-/// below (whole-sim setup is too slow to repeat hundreds of times).
-fn sample_bytes() -> &'static [u8] {
-    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| {
-        let seed = 72;
-        let (phys, workload, overlay) = world(seed);
+/// below (whole-sim setup is too slow to repeat hundreds of times), with
+/// the byte offset of its query-ledger section.
+fn sample() -> &'static (Vec<u8>, usize) {
+    static SAMPLE: OnceLock<(Vec<u8>, usize)> = OnceLock::new();
+    SAMPLE.get_or_init(|| {
+        let (phys, workload, overlay) = sample_world();
         let plan = FaultPlan {
             loss_ppm: 30_000,
             jitter_max_us: 40_000,
             ..FaultPlan::none()
         };
-        let mut sim = builder(&phys, &workload, overlay, seed, Some(&plan), None).build();
+        let mut sim =
+            builder(phys, workload, overlay.clone(), SAMPLE_SEED, Some(&plan), None).build();
         sim.run_until(workload.trace.duration_us() / 2);
-        sim.checkpoint().into_bytes()
+        let ledger = &sim.ctx().ledger;
+        // The section opens with the raw slot count, the registered count
+        // and the first registered id (ids are dense, so 0).
+        let mut section = Vec::new();
+        section.extend_from_slice(&(ledger.raw_len() as u64).to_le_bytes());
+        section.extend_from_slice(&(ledger.num_queries() as u64).to_le_bytes());
+        section.extend_from_slice(&0u32.to_le_bytes());
+        let bytes = sim.checkpoint().into_bytes();
+        let at: Vec<usize> = bytes
+            .windows(section.len())
+            .enumerate()
+            .filter(|(_, w)| *w == section.as_slice())
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(at.len(), 1, "ledger section not located uniquely: {at:?}");
+        (bytes, at[0])
     })
+}
+
+fn sample_bytes() -> &'static [u8] {
+    &sample().0
+}
+
+/// Re-stamp the trailing checksum after editing the body, so corruption
+/// reaches the section decoders instead of stopping at `BadChecksum`.
+fn reseal(bytes: &mut [u8]) {
+    let body_len = bytes.len() - 8;
+    let mut h = Fnv64::new();
+    h.write_bytes(&bytes[..body_len]);
+    let sum = h.finish();
+    bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// Restore a (possibly corrupted) checkpoint into the sample world.
+fn resume_sample(bytes: Vec<u8>) -> Result<(), CodecError> {
+    let (phys, workload, overlay) = sample_world();
+    let ckpt = Checkpoint::from_bytes(bytes)?;
+    builder(phys, workload, overlay.clone(), SAMPLE_SEED, None, None)
+        .from_checkpoint(&ckpt)
+        .map(drop)
+}
+
+#[test]
+fn resealed_sample_resumes() {
+    let mut bytes = sample_bytes().to_vec();
+    reseal(&mut bytes);
+    assert_eq!(bytes, sample_bytes(), "reseal is the identity on clean bytes");
+    resume_sample(bytes).expect("clean sample resumes");
+}
+
+/// A ledger slot count past the workload's queries is refused before it
+/// sizes an allocation: 2^24 slots would be 512 MiB of records from a few
+/// bytes of input, behind a checksum anyone can recompute.
+#[test]
+fn oversized_ledger_is_a_typed_error() {
+    let (clean, at) = sample();
+    let mut bytes = clean.clone();
+    bytes[*at..at + 8].copy_from_slice(&(1u64 << 24).to_le_bytes());
+    reseal(&mut bytes);
+    assert!(
+        matches!(resume_sample(bytes), Err(CodecError::Invalid(_))),
+        "oversized ledger accepted"
+    );
 }
 
 proptest! {
@@ -461,14 +472,31 @@ proptest! {
         let version = if version == 1 { 0 } else { version };
         let mut bytes = sample_bytes().to_vec();
         bytes[8..10].copy_from_slice(&version.to_le_bytes());
-        let body_len = bytes.len() - 8;
-        let mut h = Fnv64::new();
-        h.write_bytes(&bytes[..body_len]);
-        let sum = h.finish();
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut bytes);
         prop_assert_eq!(
             Checkpoint::from_bytes(bytes).expect_err("foreign version accepted"),
             CodecError::UnsupportedVersion(version)
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Body corruption behind a re-stamped checksum reaches every section
+    /// validator: restoring it is `Ok` or a typed error, never a panic or
+    /// an unbounded allocation.
+    #[test]
+    fn resealed_corruption_never_panics(
+        flips in proptest::collection::vec((0u32..1_000_000, 0u8..=255), 1..4),
+    ) {
+        let mut bytes = sample_bytes().to_vec();
+        let body_len = bytes.len() - 8;
+        for (pos_ppm, xor) in flips {
+            let pos = (body_len as u64 * u64::from(pos_ppm) / 1_000_000) as usize;
+            bytes[pos] ^= xor.max(1);
+        }
+        reseal(&mut bytes);
+        let _ = resume_sample(bytes);
     }
 }

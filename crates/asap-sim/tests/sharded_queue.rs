@@ -15,6 +15,7 @@
 
 use asap_metrics::MsgClass;
 use asap_overlay::{Overlay, OverlayConfig, OverlayKind, PeerId};
+use asap_sim::checkpoint::Codec;
 use asap_sim::event::{EngineEvent, EventQueue};
 use asap_sim::{
     query_hit_size, query_size, AuditConfig, Checkpoint, CheckpointProtocol, CodecError,
@@ -294,60 +295,28 @@ impl Protocol for Echo {
     }
 }
 
+asap_sim::codec_enum!(EchoMsg {
+    0 => Ask { query, target },
+    1 => Reply { query },
+});
+
+asap_sim::codec_struct!(Echo { pending, cancelled_live });
+
 impl CheckpointProtocol for Echo {
     fn encode_msg(msg: &EchoMsg, enc: &mut Encoder) {
-        match msg {
-            EchoMsg::Ask { query, target } => {
-                enc.put_u8(0);
-                enc.put_u32(*query);
-                enc.put_u32(target.0);
-            }
-            EchoMsg::Reply { query } => {
-                enc.put_u8(1);
-                enc.put_u32(*query);
-            }
-        }
+        msg.encode(enc);
     }
 
     fn decode_msg(dec: &mut Decoder<'_>) -> Result<EchoMsg, CodecError> {
-        match dec.get_u8()? {
-            0 => Ok(EchoMsg::Ask {
-                query: dec.get_u32()?,
-                target: DocId(dec.get_u32()?),
-            }),
-            1 => Ok(EchoMsg::Reply {
-                query: dec.get_u32()?,
-            }),
-            _ => Err(CodecError::BadTag),
-        }
+        dec.get()
     }
 
     fn encode_state(&self, enc: &mut Encoder) {
-        let mut ids: Vec<u32> = self.pending.keys().copied().collect();
-        ids.sort_unstable();
-        enc.put_len(ids.len());
-        for id in ids {
-            let (handle, requester, target) = self.pending[&id];
-            enc.put_u32(id);
-            enc.put_u64(handle.raw());
-            enc.put_u32(requester.0);
-            enc.put_u32(target.0);
-        }
-        enc.put_u64(self.cancelled_live);
+        self.encode(enc);
     }
 
     fn decode_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), CodecError> {
-        let n = dec.get_count()?;
-        let mut pending = asap_sim::collections::DetHashMap::default();
-        for _ in 0..n {
-            let id = dec.get_u32()?;
-            let handle = EventHandle::from_raw(dec.get_u64()?);
-            let requester = PeerId(dec.get_u32()?);
-            let target = DocId(dec.get_u32()?);
-            pending.insert(id, (handle, requester, target));
-        }
-        self.pending = pending;
-        self.cancelled_live = dec.get_u64()?;
+        *self = dec.get()?;
         Ok(())
     }
 }
